@@ -17,7 +17,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .ensembles import parse_matrix_arg, realize, spectrum_of
+from .ensembles import _parse_complex, parse_matrix_arg, realize, spectrum_of
 from .equivalents import CONVENTIONS, ParameterError, bpz_equivalent, deterministic_equivalent, n_star
 from .experiments import (
     ConfigError,
@@ -114,13 +114,9 @@ def _resolve_workers(args) -> int:
     return workers
 
 
-def _parse_shift(text):
-    if text is None:
-        return None
-    try:
-        return complex(text.replace(" ", ""))
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse shift {text!r} as a complex number") from exc
+def _shift(args):
+    text = getattr(args, "shift", None)
+    return None if text is None else _parse_complex(text)
 
 
 def _parse_number_list(text, kind=float):
@@ -135,7 +131,7 @@ def _resolve_config(args, mode: str) -> ExperimentConfig:
         if not getattr(args, "matrix", None) or not getattr(args, "n", None):
             raise ConfigError("without --config, both --matrix and --n are required")
         config = ExperimentConfig(
-            matrix=parse_matrix_arg(args.matrix, args.n, _parse_shift(getattr(args, "shift", None))),
+            matrix=parse_matrix_arg(args.matrix, args.n, _shift(args)),
             model=getattr(args, "model", None) or "complex_ginibre",
             mode="single",
         )
@@ -143,7 +139,7 @@ def _resolve_config(args, mode: str) -> ExperimentConfig:
     changes = {}
     if args.config and getattr(args, "matrix", None):
         size = args.n if getattr(args, "n", None) else config.matrix.n
-        changes["matrix"] = parse_matrix_arg(args.matrix, size, _parse_shift(getattr(args, "shift", None)))
+        changes["matrix"] = parse_matrix_arg(args.matrix, size, _shift(args))
     elif args.config and getattr(args, "n", None):
         changes["matrix"] = config.matrix.with_size(args.n)
     if getattr(args, "model", None) and args.config:
@@ -159,15 +155,10 @@ def _resolve_config(args, mode: str) -> ExperimentConfig:
     if getattr(args, "probe_eps", None) is not None:
         changes["probe_eps"] = args.probe_eps
 
-    param_changes = {}
-    for name in PARAM_FLAGS:
-        value = getattr(args, name, None)
-        if value is None:
-            continue
-        if name == "alpha":
-            param_changes["alpha"] = value if value == "auto" else float(value)
-        else:
-            param_changes[name] = float(value)
+    # argparse already typed every flag but --alpha, which may be "auto".
+    param_changes = {name: getattr(args, name) for name in PARAM_FLAGS if getattr(args, name, None) is not None}
+    if param_changes.get("alpha", "auto") != "auto":
+        param_changes["alpha"] = float(param_changes["alpha"])
     if param_changes:
         changes["params"] = replace(config.params, **param_changes)
 
@@ -218,6 +209,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _write(records, prefix, summary) -> None:
+    """Write the artifacts under ``prefix`` (if any) and list them on stdout."""
+    if prefix:
+        for path in write_results(records, prefix, summary):
+            print(f"wrote {path}")
+
+
 def _cmd_equiv(args) -> int:
     config = _resolve_config(args, "single")
     spec = config.matrix
@@ -253,9 +251,7 @@ def _cmd_grushin_verify(args) -> int:
             ("ok", summary["ok"]),
         ]
     )
-    if config.output:
-        for path in write_results(checks, config.output, summary):
-            print(f"wrote {path}")
+    _write(checks, config.output, summary)
     if not summary["ok"]:
         for failing in summary["failing"]:
             print(f"FAILED {failing['check']}: lhs={_fmt(failing['lhs'])} rhs={_fmt(failing['rhs'])}", file=sys.stderr)
@@ -284,9 +280,7 @@ def _cmd_mc(args) -> int:
             ("error_q95", summary["error"]["q95"]),
         ]
     )
-    if config.output:
-        for path in write_results(records, config.output, summary):
-            print(f"wrote {path}")
+    _write(records, config.output, summary)
     return EXIT_OK
 
 
@@ -305,9 +299,7 @@ def _cmd_sweep(args) -> int:
             ("medians_strictly_decreasing", summary["medians_strictly_decreasing"]),
         ]
     )
-    if config.output:
-        for path in write_results(records, config.output, summary):
-            print(f"wrote {path}")
+    _write(records, config.output, summary)
     return EXIT_OK
 
 
@@ -324,9 +316,7 @@ def _cmd_field(args) -> int:
             ("max_abs_gap", summary["max_abs_gap"]),
         ]
     )
-    if config.output:
-        for path in write_results(points, config.output, summary):
-            print(f"wrote {path}")
+    _write(points, config.output, summary)
     return EXIT_OK
 
 
@@ -342,7 +332,7 @@ def _cmd_probe_noise(args) -> int:
     growth = norm_growth_probe(model, sizes, min(trials, 50), substream_seed(seed, 0))
     markov = markov_tail_check(model, n, trials, taus, seed=substream_seed(seed, 1))
     if getattr(args, "matrix", None):
-        d = realize(parse_matrix_arg(args.matrix, n, _parse_shift(getattr(args, "shift", None))))
+        d = realize(parse_matrix_arg(args.matrix, n, _shift(args)))
     else:
         d = np.zeros((n, n), dtype=np.complex128)
     anti = anti_concentration_probe(d, model, trials, betas, substream_seed(seed, 2))
@@ -359,15 +349,13 @@ def _cmd_probe_noise(args) -> int:
         )
     for freq in anti.summary["frequencies"]:
         print(f"s_min <= N^-{freq['beta']}: frequency={_fmt(freq['frequency'])}")
-    if args.out:
-        summary = {
-            "model": model,
-            "growth": growth.summary,
-            "markov": markov.summary,
-            "anti_concentration": anti.summary,
-        }
-        for path in write_results([*growth.per_n, markov, anti], args.out, summary):
-            print(f"wrote {path}")
+    summary = {
+        "model": model,
+        "growth": growth.summary,
+        "markov": markov.summary,
+        "anti_concentration": anti.summary,
+    }
+    _write([*growth.per_n, markov, anti], args.out, summary)
     return EXIT_OK if ok else EXIT_VERIFY
 
 

@@ -175,7 +175,6 @@ class EquivalenceParams:
     delta: float
     tau: float
     kappa1: float
-    kappa2: float = 0.0
     beta: float = 2.0
     L: float = 2.0
     C: float = 1.0

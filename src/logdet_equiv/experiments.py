@@ -22,16 +22,18 @@ with a single-mode run on the shifted matrix, stream for stream.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, astuple, dataclass, field, fields, replace
+from sys import float_info
 
 import numpy as np
 
-from .ensembles import MatrixSpec, realize, spectrum_of
+from .ensembles import MatrixSpec, _parse_complex, realize, spectrum_of
 from .equivalents import (
     CONVENTIONS,
     EquivalenceParams,
@@ -104,6 +106,9 @@ PROBE_COLUMNS = ("model", "N", "trial", "stat_name", "value")
 # outside the range of sweep/grid block indices.
 EPS_PROBE_BLOCK = 0xFFFFFFFF
 
+# Highest power of delta kept by the suite's Neumann-series inversion.
+NEUMANN_TERMS = 25
+
 
 class ConfigError(ValueError):
     """The experiment configuration is malformed or infeasible."""
@@ -148,7 +153,6 @@ class ParamConfig:
     delta: float = 0.0
     tau: float = 10.0
     kappa1: float = 0.5
-    kappa2: float = 0.0
     beta: float = 2.0
     L: float = 2.0
     C: float = 1.0
@@ -180,7 +184,6 @@ class ParamConfig:
             delta=self.delta,
             tau=self.tau,
             kappa1=self.kappa1,
-            kappa2=self.kappa2,
             beta=self.beta,
             L=self.L,
             C=self.C,
@@ -198,11 +201,11 @@ class ExperimentConfig:
     trials: int = 100
     seed: int = 0
     mode: str = "single"
+    convention: str = "inclusive"
+    probe_eps: bool = False
     n_list: tuple = ()
     z_grid: ZGrid | None = None
     output: str | None = None
-    convention: str = "inclusive"
-    probe_eps: bool = False
 
     def __post_init__(self):
         if self.model not in NOISE_KINDS:
@@ -256,24 +259,6 @@ class TrialRecord:
     s_min_perturbed: float
     contraction: float
 
-    def row(self) -> tuple:
-        return (
-            self.trial,
-            self.seed_used,
-            self.n,
-            self.delta,
-            self.alpha,
-            self.m,
-            self.lhs,
-            self.rhs,
-            self.error,
-            self.error_bound,
-            self.within_budget,
-            self.norm_g,
-            self.s_min_perturbed,
-            self.contraction,
-        )
-
 
 @dataclass(frozen=True)
 class FieldPoint:
@@ -285,9 +270,6 @@ class FieldPoint:
     lhs_mean: float
     lhs_sd: float
     trials: int
-
-    def row(self) -> tuple:
-        return (self.re_z, self.im_z, self.rhs, self.lhs_mean, self.lhs_sd, self.trials)
 
 
 def _map_indexed(fn, count: int, workers: int) -> list:
@@ -311,6 +293,51 @@ def _quantile_block(values) -> dict:
     return block
 
 
+def _trial(config: ExperimentConfig, a: np.ndarray, delta: float, block: int, k: int, diagnostics: bool = False):
+    """Trial ``k`` of work unit ``block``: ``(seed_used, lhs)`` with
+    ``lhs = (1/N) log |det (A + delta G)|``, followed by ``||G||`` and
+    ``s_min(A + delta G)`` when ``diagnostics`` is set."""
+    n = a.shape[0]
+    sub = substream_seed(config.seed, block, k)
+    g = sample(config.model, n, sub)
+    a_delta = a + delta * g
+    lhs = log_abs_det(a_delta) / n
+    if not diagnostics:
+        return sub, lhs
+    return sub, lhs, operator_norm(g), smallest_singular_value(a_delta)
+
+
+def _trial_records(config, a, delta, block, rhs, alpha, m, error_bound, workers) -> list[TrialRecord]:
+    """One record per trial of work unit ``block``.  A NaN ``error_bound``
+    claims no budget (``within_budget`` None); a NaN ``alpha`` makes the
+    contraction NaN."""
+    n = a.shape[0]
+
+    def one(k: int) -> TrialRecord:
+        sub, lhs, norm_g, s_min = _trial(config, a, delta, block, k, diagnostics=True)
+        error = abs(lhs - rhs)
+        within = None if math.isnan(error_bound) else bool(error <= error_bound)
+        return TrialRecord(
+            k, sub, n, delta, alpha, m, lhs, rhs, error, error_bound, within, norm_g, s_min, delta * norm_g / alpha
+        )
+
+    return _map_indexed(one, config.trials, workers)
+
+
+def _resolve_single(config: ExperimentConfig, driver: str):
+    """Mode gate, then realize -> spectrum -> resolve on the configured matrix."""
+    if config.mode != "single":
+        raise ConfigError(f"{driver} needs mode 'single', got {config.mode!r}")
+    a = realize(config.matrix)
+    n = int(config.matrix.n)
+    singvals = spectrum_of(config.matrix)
+    try:
+        params = config.params.resolve(singvals, n)
+    except ParameterError as exc:
+        raise ConfigError(str(exc)) from exc
+    return a, n, singvals, params
+
+
 def run_theorem2(config: ExperimentConfig, workers: int = 1):
     """Single-matrix Monte Carlo comparison against the cutoff sum.
 
@@ -320,15 +347,7 @@ def run_theorem2(config: ExperimentConfig, workers: int = 1):
     is measured only when ``config.probe_eps`` is set (None = unavailable,
     making the full floor unavailable too).
     """
-    if config.mode != "single":
-        raise ConfigError(f"run_theorem2 needs mode 'single', got {config.mode!r}")
-    a = realize(config.matrix)
-    n = int(config.matrix.n)
-    singvals = spectrum_of(config.matrix)
-    try:
-        params = config.params.resolve(singvals, n)
-    except ParameterError as exc:
-        raise ConfigError(str(exc)) from exc
+    a, n, singvals, params = _resolve_single(config, "run_theorem2")
     if params.delta > 0:
         lo, hi = admissible_delta_range(params.alpha, params.gamma, params.kappa1, params.tau, n, params.headroom)
         if lo > hi:
@@ -357,32 +376,7 @@ def run_theorem2(config: ExperimentConfig, workers: int = 1):
         raise ConfigError(str(exc)) from exc
 
     delta = params.delta
-
-    def one(k: int) -> TrialRecord:
-        sub = substream_seed(config.seed, 0, k)
-        g = sample(config.model, n, sub)
-        norm_g = operator_norm(g)
-        a_delta = a + delta * g
-        lhs = log_abs_det(a_delta) / n
-        error = abs(lhs - rhs)
-        return TrialRecord(
-            trial=k,
-            seed_used=sub,
-            n=n,
-            delta=delta,
-            alpha=params.alpha,
-            m=params.m,
-            lhs=lhs,
-            rhs=rhs,
-            error=error,
-            error_bound=budget.error_bound,
-            within_budget=bool(error <= budget.error_bound),
-            norm_g=norm_g,
-            s_min_perturbed=smallest_singular_value(a_delta),
-            contraction=delta * norm_g / params.alpha,
-        )
-
-    records = _map_indexed(one, config.trials, workers)
+    records = _trial_records(config, a, delta, 0, rhs, params.alpha, params.m, budget.error_bound, workers)
     errors = [r.error for r in records]
     summary = {
         "mode": "single",
@@ -448,31 +442,7 @@ def run_theorem1(
         cutoff_index = n_star(singvals, gamma, eta)
         rhs = bpz_equivalent(singvals, cutoff_index, convention)
         rhs_by_convention = {c: bpz_equivalent(singvals, cutoff_index, c) for c in CONVENTIONS}
-
-        def one(k: int, a=a, n=n, delta=delta, rhs=rhs, block=block, cutoff_index=cutoff_index) -> TrialRecord:
-            sub = substream_seed(config.seed, block, k)
-            g = sample(config.model, n, sub)
-            norm_g = operator_norm(g)
-            a_delta = a + delta * g
-            lhs = log_abs_det(a_delta) / n
-            return TrialRecord(
-                trial=k,
-                seed_used=sub,
-                n=n,
-                delta=delta,
-                alpha=float("nan"),
-                m=cutoff_index,
-                lhs=lhs,
-                rhs=rhs,
-                error=abs(lhs - rhs),
-                error_bound=float("nan"),
-                within_budget=None,
-                norm_g=norm_g,
-                s_min_perturbed=smallest_singular_value(a_delta),
-                contraction=float("nan"),
-            )
-
-        step_records = _map_indexed(one, config.trials, workers)
+        step_records = _trial_records(config, a, delta, block, rhs, math.nan, cutoff_index, math.nan, workers)
         records.extend(step_records)
         flagged = not math.isfinite(rhs)
         step_errors = [r.error for r in step_records]
@@ -508,7 +478,7 @@ def run_theorem1(
     return records, summary
 
 
-def run_grushin_suite(config: ExperimentConfig, workers: int = 1, n_terms: int = 25):
+def run_grushin_suite(config: ExperimentConfig, workers: int = 1):
     """Run every block-algebra identity and bound on the configured matrix.
 
     Static checks (determinant identity, two-sided inverse, unperturbed norm
@@ -520,15 +490,7 @@ def run_grushin_suite(config: ExperimentConfig, workers: int = 1, n_terms: int =
     Returns ``(checks, summary)``: each check is a JSON-ready dict
     ``{check, n, lhs, rhs, bound, pass, trial}``.
     """
-    if config.mode != "single":
-        raise ConfigError(f"run_grushin_suite needs mode 'single', got {config.mode!r}")
-    a = realize(config.matrix)
-    n = int(config.matrix.n)
-    singvals = spectrum_of(config.matrix)
-    try:
-        params = config.params.resolve(singvals, n)
-    except ParameterError as exc:
-        raise ConfigError(str(exc)) from exc
+    a, n, _, params = _resolve_single(config, "run_grushin_suite")
     sys, blocks = build_grushin(a, params.m)
     # count_below puts alpha in [t_m, t_{m+1}) by construction, the window
     # the unperturbed norm estimates require.
@@ -571,14 +533,11 @@ def run_grushin_suite(config: ExperimentConfig, workers: int = 1, n_terms: int =
             drift, bound = perturbation_drift_bound(sys, pert)
             out.append(CheckRecord("drift_bound", None, drift, bound, 1e-10, drift <= bound + 1e-10))
             out.extend(perturbed_norm_estimates(pert))
-            approx = invert_perturbed(sys, g, delta, "neumann", alpha=alpha, n_terms=n_terms)
-            diff = max(
-                float(np.abs(approx.blocks.e - pert.blocks.e).max()),
-                float(np.abs(approx.blocks.e_plus - pert.blocks.e_plus).max() if params.m else 0.0),
-                float(np.abs(approx.blocks.e_minus - pert.blocks.e_minus).max() if params.m else 0.0),
-                float(np.abs(approx.blocks.e_minus_plus - pert.blocks.e_minus_plus).max() if params.m else 0.0),
-            )
-            tail = max(neumann_tail_bound(pert.contraction, alpha, n_terms), 1e-9)
+            approx = invert_perturbed(sys, g, delta, "neumann", alpha=alpha, n_terms=NEUMANN_TERMS)
+            # initial=0.0 covers the empty border blocks of an m = 0 deflation.
+            pairs = zip(vars(approx.blocks).values(), vars(pert.blocks).values())
+            diff = max(float(np.abs(x - y).max(initial=0.0)) for x, y in pairs)
+            tail = max(neumann_tail_bound(pert.contraction, alpha, NEUMANN_TERMS), 1e-9)
             out.append(CheckRecord("neumann_agreement", None, diff, tail, 0.0, diff <= tail))
         return out
 
@@ -634,13 +593,7 @@ def log_potential_field(config: ExperimentConfig, workers: int = 1):
         except (ParameterError, ConfigError) as exc:
             raise ConfigError(f"grid point {z}: {exc}") from exc
         rhs = deterministic_equivalent(singvals, params.alpha)
-
-        def one(k: int, a_z=a_z, p=p) -> float:
-            sub = substream_seed(config.seed, p, k)
-            g = sample(config.model, n, sub)
-            return log_abs_det(a_z + delta * g) / n
-
-        values = np.array(_map_indexed(one, config.trials, workers))
+        values = np.array(_map_indexed(lambda k: _trial(config, a_z, delta, p, k)[1], config.trials, workers))
         field_points.append(
             FieldPoint(
                 re_z=float(z.real),
@@ -672,15 +625,11 @@ def log_potential_field(config: ExperimentConfig, workers: int = 1):
 
 
 def _fmt_cell(value) -> str:
+    """A CSV cell: the JSON literal of the value, strings bare, None empty."""
+    value = _jsonable(value)
     if value is None:
         return ""
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
+    return value if isinstance(value, str) else json.dumps(value)
 
 
 def _jsonable(obj):
@@ -733,7 +682,7 @@ def write_results(records, path_prefix: str, summary=None) -> list[str]:
     records = list(records)
     if records and isinstance(records[0], FieldPoint):
         path = f"{prefix}_field.csv"
-        _write_csv(path, FIELD_COLUMNS, (r.row() for r in records))
+        _write_csv(path, FIELD_COLUMNS, (astuple(r) for r in records))
         written.append(path)
     elif records and isinstance(records[0], dict) and "check" in records[0]:
         path = f"{prefix}_checks.json"
@@ -745,7 +694,7 @@ def write_results(records, path_prefix: str, summary=None) -> list[str]:
         written.append(path)
     else:
         path = f"{prefix}_records.csv"
-        _write_csv(path, RECORD_COLUMNS, (r.row() for r in records))
+        _write_csv(path, RECORD_COLUMNS, (astuple(r) for r in records))
         written.append(path)
     if summary is not None:
         path = f"{prefix}_summary.json"
@@ -754,202 +703,106 @@ def write_results(records, path_prefix: str, summary=None) -> list[str]:
     return written
 
 
-_MATRIX_KEYS = {"kind", "n", "a", "b", "diag", "path", "shift"}
-_PARAM_KEYS = {
-    "alpha",
-    "nu_target",
-    "gamma",
-    "eta",
-    "delta",
-    "tau",
-    "kappa1",
-    "kappa2",
-    "beta",
-    "L",
-    "C",
-    "headroom",
-}
-_GRID_KEYS = {"re_min", "re_max", "im_min", "im_max", "steps"}
-_CONFIG_KEYS = {
-    "matrix",
-    "model",
-    "params",
-    "trials",
-    "seed",
-    "mode",
-    "N_list",
-    "z_grid",
-    "output",
-    "convention",
-    "probe_eps",
-}
+# Config (de)serialization walks the dataclass fields: each field's
+# annotation names its JSON type.  The tables cover what an annotation
+# alone does not say.
+_JSON_KEYS = {"n_list": "N_list"}
+_JSON_TYPES = {"alpha": "float or 'auto'", "diag": "list of [complex, int] pairs", "n_list": "list of int"}
+# Matrix fields that belong to one kind and are written only for it.
+_KIND_FIELDS = {"a": "bidiagonal_toeplitz", "b": "bidiagonal_toeplitz", "diag": "diagonal", "path": "custom"}
+_NESTED = {"MatrixSpec": MatrixSpec, "ParamConfig": ParamConfig, "ZGrid": ZGrid}
 
 
-def _complex_to_json(z):
-    if z is None:
-        return None
-    z = complex(z)
-    return [z.real, z.imag]
+def _from_json(value, kind: str, where: str):
+    """Coerce one JSON value to a field of type ``kind``; ConfigError if it does not fit.
 
-
-def _complex_from_json(value, where: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, str):
+    ``null`` fits only ``X | None`` fields, booleans are never numbers,
+    numbers must be finite, and integer fields take integers only.
+    """
+    if kind.endswith(" | None"):
+        if value is None:
+            return None
+        kind = kind[: -len(" | None")]
+    if kind in _NESTED:
+        return _from_dict(_NESTED[kind], value, where)
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    seq = isinstance(value, (list, tuple))
+    if kind == "int" and number and isinstance(value, int):
+        return value
+    if kind == "float or 'auto'" and value == "auto":
+        return value
+    # The comparison also turns away nan, inf and integers too large for a float.
+    if kind in ("float", "float or 'auto'") and number and abs(value) <= float_info.max:
+        return float(value)
+    if (kind == "str" and isinstance(value, str)) or (kind == "bool" and isinstance(value, bool)):
+        return value
+    if kind == "complex" and seq and len(value) == 2:
+        return complex(_from_json(value[0], "float", where), _from_json(value[1], "float", where))
+    if kind == "complex" and (number or isinstance(value, str)):
         try:
-            return complex(value.replace(" ", ""))
-        except ValueError as exc:
-            raise ConfigError(f"{where}: cannot parse {value!r} as a complex number") from exc
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
-    raise ConfigError(f"{where}: expected a number, 're+imj' string, or [re, im] pair, got {value!r}")
+            z = _parse_complex(value) if isinstance(value, str) else complex(value)
+        except (ValueError, OverflowError):
+            z = complex("nan")
+        if cmath.isfinite(z):
+            return z
+    if kind == "list of int" and seq:
+        return tuple(_from_json(v, "int", where) for v in value)
+    if kind == "list of [complex, int] pairs" and seq:
+        return tuple(_from_json(pair, "[complex, int] pair", where) for pair in value)
+    if kind == "[complex, int] pair" and seq and len(value) == 2:
+        return _from_json(value[0], "complex", where), _from_json(value[1], "int", where)
+    raise ConfigError(f"{where}: expected {kind}, got {value!r}")
 
 
-def config_to_dict(config: ExperimentConfig) -> dict:
-    spec = config.matrix
-    matrix = {"kind": spec.kind, "n": spec.n}
-    if spec.kind == "bidiagonal_toeplitz":
-        matrix["a"] = _complex_to_json(spec.a)
-        matrix["b"] = _complex_to_json(spec.b)
-    if spec.kind == "diagonal":
-        matrix["diag"] = [[_complex_to_json(v), int(c)] for v, c in spec.diag]
-    if spec.kind == "custom":
-        matrix["path"] = spec.path
-    if spec.shift is not None:
-        matrix["shift"] = _complex_to_json(spec.shift)
-    p = config.params
-    params = {
-        "alpha": p.alpha,
-        "nu_target": p.nu_target,
-        "gamma": p.gamma,
-        "eta": p.eta,
-        "delta": p.delta,
-        "tau": p.tau,
-        "kappa1": p.kappa1,
-        "kappa2": p.kappa2,
-        "beta": p.beta,
-        "L": p.L,
-        "C": p.C,
-        "headroom": p.headroom,
+def _from_dict(cls, d, where: str):
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where}: expected an object, got {type(d).__name__}")
+    by_key = {_JSON_KEYS.get(f.name, f.name): f for f in fields(cls)}
+    unknown = set(d) - set(by_key)
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    missing = [k for k, f in by_key.items() if k not in d and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ConfigError(f"{where}: missing keys {missing}")
+    kwargs = {
+        f.name: _from_json(d[k], _JSON_TYPES.get(f.name, f.type), f"{where}.{k}") for k, f in by_key.items() if k in d
     }
-    out = {
-        "matrix": matrix,
-        "model": config.model,
-        "params": params,
-        "trials": config.trials,
-        "seed": config.seed,
-        "mode": config.mode,
-        "convention": config.convention,
-        "probe_eps": config.probe_eps,
-    }
-    if config.n_list:
-        out["N_list"] = [int(n) for n in config.n_list]
-    if config.z_grid is not None:
-        g = config.z_grid
-        out["z_grid"] = {
-            "re_min": g.re_min,
-            "re_max": g.re_max,
-            "im_min": g.im_min,
-            "im_max": g.im_max,
-            "steps": g.steps,
-        }
-    if config.output is not None:
-        out["output"] = config.output
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _to_json(value, kind: str):
+    kind = kind.removesuffix(" | None")
+    if kind in _NESTED:
+        return config_to_dict(value)
+    if kind == "complex":
+        z = complex(value)
+        return [z.real, z.imag]
+    if kind == "list of int":
+        return [int(n) for n in value]
+    if kind == "list of [complex, int] pairs":
+        return [[_to_json(v, "complex"), int(c)] for v, c in value]
+    return value
+
+
+def config_to_dict(config) -> dict:
+    """JSON form of a config (or of one of its parts): every field in
+    declaration order, except unset optional ones (None or ``()``) and
+    matrix fields of another kind."""
+    out = {}
+    for f in fields(config):
+        value = getattr(config, f.name)
+        owner = _KIND_FIELDS.get(f.name)
+        if (owner is not None and owner != config.kind) or (owner is None and (value is None or value == ())):
+            continue
+        out[_JSON_KEYS.get(f.name, f.name)] = _to_json(value, _JSON_TYPES.get(f.name, f.type))
     return out
 
 
-def _matrix_from_dict(d: dict) -> MatrixSpec:
-    if not isinstance(d, dict):
-        raise ConfigError(f"matrix: expected an object, got {type(d).__name__}")
-    unknown = set(d) - _MATRIX_KEYS
-    if unknown:
-        raise ConfigError(f"matrix: unknown keys {sorted(unknown)}")
-    if "kind" not in d or "n" not in d:
-        raise ConfigError("matrix: 'kind' and 'n' are required")
-    kwargs = {"kind": d["kind"], "n": int(d["n"])}
-    if "a" in d:
-        kwargs["a"] = _complex_from_json(d["a"], "matrix.a")
-    if "b" in d:
-        kwargs["b"] = _complex_from_json(d["b"], "matrix.b")
-    if "diag" in d:
-        entries = []
-        for item in d["diag"]:
-            if not isinstance(item, (list, tuple)) or len(item) != 2:
-                raise ConfigError(f"matrix.diag: expected [value, count] pairs, got {item!r}")
-            entries.append((_complex_from_json(item[0], "matrix.diag"), int(item[1])))
-        kwargs["diag"] = tuple(entries)
-    if "path" in d:
-        kwargs["path"] = d["path"]
-    if d.get("shift") is not None:
-        kwargs["shift"] = _complex_from_json(d["shift"], "matrix.shift")
-    try:
-        return MatrixSpec(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"matrix: {exc}") from exc
-
-
-def _params_from_dict(d: dict) -> ParamConfig:
-    if not isinstance(d, dict):
-        raise ConfigError(f"params: expected an object, got {type(d).__name__}")
-    unknown = set(d) - _PARAM_KEYS
-    if unknown:
-        raise ConfigError(f"params: unknown keys {sorted(unknown)}")
-    kwargs = {}
-    for key, value in d.items():
-        if key == "alpha" and isinstance(value, str):
-            kwargs[key] = value
-        else:
-            kwargs[key] = float(value)
-    try:
-        return ParamConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"params: {exc}") from exc
-
-
 def config_from_dict(d: dict) -> ExperimentConfig:
-    if not isinstance(d, dict):
-        raise ConfigError(f"config: expected an object, got {type(d).__name__}")
-    unknown = set(d) - _CONFIG_KEYS
-    if unknown:
-        raise ConfigError(f"config: unknown keys {sorted(unknown)}")
-    for required in ("matrix", "model"):
-        if required not in d:
-            raise ConfigError(f"config: {required!r} is required")
-    kwargs = {
-        "matrix": _matrix_from_dict(d["matrix"]),
-        "model": d["model"],
-        "params": _params_from_dict(d.get("params", {})),
-    }
-    if "trials" in d:
-        kwargs["trials"] = int(d["trials"])
-    if "seed" in d:
-        kwargs["seed"] = int(d["seed"])
-    if "mode" in d:
-        kwargs["mode"] = d["mode"]
-    if "N_list" in d:
-        kwargs["n_list"] = tuple(int(n) for n in d["N_list"])
-    if d.get("z_grid") is not None:
-        g = d["z_grid"]
-        unknown = set(g) - _GRID_KEYS
-        if unknown:
-            raise ConfigError(f"z_grid: unknown keys {sorted(unknown)}")
-        missing = _GRID_KEYS - set(g)
-        if missing:
-            raise ConfigError(f"z_grid: missing keys {sorted(missing)}")
-        kwargs["z_grid"] = ZGrid(
-            re_min=float(g["re_min"]),
-            re_max=float(g["re_max"]),
-            im_min=float(g["im_min"]),
-            im_max=float(g["im_max"]),
-            steps=int(g["steps"]),
-        )
-    if "output" in d:
-        kwargs["output"] = d["output"]
-    if "convention" in d:
-        kwargs["convention"] = d["convention"]
-    if "probe_eps" in d:
-        kwargs["probe_eps"] = bool(d["probe_eps"])
-    return ExperimentConfig(**kwargs)
+    return _from_dict(ExperimentConfig, d, "config")
 
 
 def read_config(path) -> ExperimentConfig:

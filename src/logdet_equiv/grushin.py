@@ -84,11 +84,6 @@ class CheckRecord:
     bound: float
     passed: bool
 
-    @property
-    def excess(self) -> float:
-        """How far the left side exceeded the right (negative = comfortable)."""
-        return self.lhs - self.rhs
-
     def as_dict(self) -> dict:
         return {
             "check": self.check,
@@ -220,17 +215,20 @@ def inverse_blocks(sys: GrushinSystem) -> InverseBlocks:
     )
 
 
+def _bordered(sys: GrushinSystem, x: np.ndarray) -> np.ndarray:
+    """The ``(n + m) x (n + m)`` block matrix ``[[X, R_minus], [R_plus, 0]]``."""
+    zero = np.zeros((sys.m, sys.m), dtype=np.complex128)
+    return np.block([[x, sys.r_minus], [sys.r_plus, zero]])
+
+
 def assemble(sys: GrushinSystem) -> np.ndarray:
     """The ``(n + m) x (n + m)`` block matrix ``[[A, R_minus], [R_plus, 0]]``."""
-    zero = np.zeros((sys.m, sys.m), dtype=np.complex128)
-    return np.block([[sys.a, sys.r_minus], [sys.r_plus, zero]])
+    return _bordered(sys, sys.a)
 
 
 def assemble_perturbed(pert: PerturbedSystem) -> np.ndarray:
     """Same block layout with ``A`` replaced by ``A + delta G``."""
-    sys = pert.base
-    zero = np.zeros((sys.m, sys.m), dtype=np.complex128)
-    return np.block([[pert.a_delta, sys.r_minus], [sys.r_plus, zero]])
+    return _bordered(pert.base, pert.a_delta)
 
 
 def grushin_det_identity(sys: GrushinSystem) -> tuple[float, float]:
@@ -306,12 +304,10 @@ def invert_perturbed(
     norm_g = operator_norm(g)
     contraction = 0.0 if delta == 0.0 else delta * norm_g / alpha
 
-    n, m = sys.n, sys.m
+    n = sys.n
     if method == "direct":
-        zero = np.zeros((m, m), dtype=np.complex128)
-        p = np.block([[sys.a + delta * g, sys.r_minus], [sys.r_plus, zero]])
         try:
-            inv = np.linalg.inv(p)
+            inv = np.linalg.inv(_bordered(sys, sys.a + delta * g))
         except np.linalg.LinAlgError as exc:
             raise NumericalError("assembled perturbed system is singular") from exc
         blocks = InverseBlocks(

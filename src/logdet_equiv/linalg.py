@@ -72,9 +72,9 @@ class SvdFactorization:
     e : (n, n) complex array
         Right singular vectors as columns; ``e[:, i]`` pairs with ``t[i]``.
     f : (n, n) complex array
-        Left singular vectors as columns, phased so that
+        Left singular vectors as columns (numpy's ``U``), so that
         ``A @ e[:, i] == t[i] * f[:, i]`` (and hence
-        ``A.conj().T @ f[:, i] == t[i] * e[:, i]``).
+        ``A.conj().T @ f[:, i] == t[i] * e[:, i]``) up to roundoff.
     """
 
     t: np.ndarray
@@ -131,10 +131,9 @@ def svd_tolerance(a) -> float:
 def svd_paired(a) -> SvdFactorization:
     """Factor a square matrix into ascending singular values and paired vectors.
 
-    The returned systems satisfy ``A e_i = t_i f_i`` with ``t_i >= 0``;
-    any residual unit phase from the backend factorization is absorbed
-    into ``f`` so that the pairing holds exactly (up to roundoff), not
-    just up to sign.
+    ``e`` is numpy's ``Vh^*`` and ``f`` numpy's ``U``, both reordered to
+    ascending ``t``; ``A = U diag(s) Vh`` already gives ``A e_i = t_i f_i``
+    with ``t_i >= 0``.
     """
     a = _require_square(as_matrix(a))
     try:
@@ -144,13 +143,7 @@ def svd_paired(a) -> SvdFactorization:
     t = np.ascontiguousarray(s[::-1])
     e = np.ascontiguousarray(vh.conj().T[:, ::-1])
     f = np.ascontiguousarray(u[:, ::-1])
-    # Absorb any unit phase into f: replace f_i by (proj/|proj|) f_i where
-    # proj = <f_i, A e_i>; for t_i = 0 the pairing is 0 = 0 and f_i is kept.
-    proj = np.einsum("ij,ij->j", f.conj(), a @ e)
-    mag = np.abs(proj)
-    safe = np.where(mag > 0.0, mag, 1.0)
-    phase = np.where(mag > 0.0, proj / safe, 1.0)
-    return SvdFactorization(t=t, e=e, f=f * phase[np.newaxis, :])
+    return SvdFactorization(t=t, e=e, f=f)
 
 
 def log_abs_det(a) -> float:

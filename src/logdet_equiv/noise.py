@@ -104,16 +104,6 @@ class ProbeResult:
         for k, v in enumerate(self.values):
             yield (self.model, self.n, k, self.stat_name, v)
 
-    def as_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "N": self.n,
-            "trials": self.trials,
-            "stat_name": self.stat_name,
-            "values": list(self.values),
-            "summary": self.summary,
-        }
-
 
 @dataclass(frozen=True)
 class NormGrowthFit:
@@ -141,9 +131,6 @@ class NormGrowthFit:
     def csv_rows(self):
         for result in self.per_n:
             yield from result.csv_rows()
-
-    def as_dict(self) -> dict:
-        return {"per_n": [r.as_dict() for r in self.per_n], **self.summary}
 
 
 def fit_growth(n_list, mean_norms) -> tuple[float, float, tuple]:

@@ -213,3 +213,36 @@ def test_shipped_configs_parse_and_run(tmp_path, capsys):
         argv += ["--config", path, "--trials", "2", "--out", str(tmp_path / config.mode)]
         assert cli.main(argv) == 0, f"{path}: {capsys.readouterr()}"
         capsys.readouterr()
+
+
+HOSTILE_BASE = {
+    "matrix": {"kind": "diagonal", "n": 12, "diag": [[2.0, 9], [0.0, 3]]},
+    "model": "complex_ginibre",
+    "params": {"alpha": 1.0, "gamma": 4.0, "delta": 1e-4},
+    "trials": 2,
+}
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("params", "tau", None),
+        ("matrix", "n", None),
+        ("matrix", "diag", 5),
+        (None, "z_grid", 5),
+        (None, "N_list", 5),
+        (None, "trials", True),
+        ("params", "alpha", True),
+        (None, "trials", 2.7),
+        (None, "probe_eps", "no"),
+    ],
+)
+def test_hostile_config_values_exit_three(tmp_path, capsys, section, key, value):
+    payload = json.loads(json.dumps(HOSTILE_BASE))
+    (payload[section] if section else payload)[key] = value
+    path = tmp_path / "hostile.json"
+    path.write_text(json.dumps(payload))
+    assert cli.main(["mc", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "Traceback" not in err

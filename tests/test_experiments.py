@@ -2,10 +2,13 @@
 
 import json
 import math
+import pathlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logdet_equiv import (
     ConfigError,
@@ -483,3 +486,47 @@ def test_config_complex_fields_accept_multiple_forms():
         assert loaded.matrix.shift == 2 + 0j
     with pytest.raises(ConfigError):
         config_from_dict({**base, "matrix": {"kind": "jordan", "n": 4, "shift": "two"}})
+
+
+# Exact ``json.dumps(config_to_dict(c), indent=2)`` texts: key order and the
+# conditional keys are what every summary JSON echoes under "config".
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+GOLDEN_CONFIGS = {
+    "diagonal_single": single_config(),
+    "bidiagonal_single": single_config(
+        matrix=MatrixSpec(kind="bidiagonal_toeplitz", n=6, a=1 + 2j, b=-1.0), output="out/x"
+    ),
+    "custom_single": single_config(matrix=MatrixSpec(kind="custom", n=3, path="m.csv", shift=1 - 1j), probe_eps=True),
+    "jordan_sweep": sweep_config(),
+    "zero_field": field_config(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+def test_config_to_dict_golden_text(name):
+    config = GOLDEN_CONFIGS[name]
+    text = (GOLDEN / f"config_{name}.json").read_text()
+    assert json.dumps(config_to_dict(config), indent=2) + "\n" == text
+    assert config_from_dict(json.loads(text)) == config
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_config_from_dict_one_replaced_value(data):
+    base = config_to_dict(GOLDEN_CONFIGS[data.draw(st.sampled_from(sorted(GOLDEN_CONFIGS)))])
+    nested = [(key, sub) for key, value in base.items() if isinstance(value, dict) for sub in value]
+    path = data.draw(st.sampled_from([(key,) for key in base] + nested))
+    target = base if len(path) == 1 else base[path[0]]
+    target[path[-1]] = data.draw(JSON_VALUES)
+    try:
+        config = config_from_dict(base)
+    except ConfigError:
+        return
+    assert config_from_dict(config_to_dict(config)) == config
