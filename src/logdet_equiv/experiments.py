@@ -47,7 +47,11 @@ from .equivalents import (
     n_star,
 )
 from .grushin import (
+    NEUMANN_TERMS,
     CheckRecord,
+    _eq,
+    _leq,
+    _neumann_blocks,
     build_grushin,
     grushin_det_identity,
     interlacing_check,
@@ -105,9 +109,6 @@ PROBE_COLUMNS = ("model", "N", "trial", "stat_name", "value")
 # Substream block reserved for the optional anti-concentration probe, far
 # outside the range of sweep/grid block indices.
 EPS_PROBE_BLOCK = 0xFFFFFFFF
-
-# Highest power of delta kept by the suite's Neumann-series inversion.
-NEUMANN_TERMS = 25
 
 
 class ConfigError(ValueError):
@@ -293,13 +294,18 @@ def _quantile_block(values) -> dict:
     return block
 
 
+def _draw(config: ExperimentConfig, n: int, block: int, k: int):
+    """The noise of trial ``k`` of work unit ``block``: ``(seed_used, G)``."""
+    sub = substream_seed(config.seed, block, k)
+    return sub, sample(config.model, n, sub)
+
+
 def _trial(config: ExperimentConfig, a: np.ndarray, delta: float, block: int, k: int, diagnostics: bool = False):
     """Trial ``k`` of work unit ``block``: ``(seed_used, lhs)`` with
     ``lhs = (1/N) log |det (A + delta G)|``, followed by ``||G||`` and
     ``s_min(A + delta G)`` when ``diagnostics`` is set."""
     n = a.shape[0]
-    sub = substream_seed(config.seed, block, k)
-    g = sample(config.model, n, sub)
+    sub, g = _draw(config, n, block, k)
     a_delta = a + delta * g
     lhs = log_abs_det(a_delta) / n
     if not diagnostics:
@@ -499,46 +505,34 @@ def run_grushin_suite(config: ExperimentConfig, workers: int = 1):
     checks: list[dict] = []
 
     def add(record: CheckRecord, trial: int | None = None) -> None:
-        entry = record.as_dict()
-        entry["trial"] = trial
-        checks.append(entry)
+        checks.append({**record.as_dict(), "trial": trial})
 
     lhs, rhs = grushin_det_identity(sys)
-    identical_inf = math.isinf(lhs) and math.isinf(rhs) and (lhs < 0) == (rhs < 0)
-    add(CheckRecord("det_identity", None, lhs, rhs, 1e-8 * n, bool(identical_inf or abs(lhs - rhs) <= 1e-8 * n)))
+    add(_eq("det_identity", None, lhs, rhs, 1e-8 * n))
 
-    assembled = assemble(sys)
-    inverse = blocks.assembled()
-    eye = np.eye(n + params.m)
+    assembled, inverse, eye = assemble(sys), blocks.assembled(), np.eye(n + params.m)
     tol = 1e-10 * (n + params.m)
-    right_defect = float(np.abs(assembled @ inverse - eye).max())
-    left_defect = float(np.abs(inverse @ assembled - eye).max())
-    add(CheckRecord("two_sided_inverse_right", None, right_defect, 0.0, tol, right_defect <= tol))
-    add(CheckRecord("two_sided_inverse_left", None, left_defect, 0.0, tol, left_defect <= tol))
+    add(_leq("two_sided_inverse_right", None, np.abs(assembled @ inverse - eye).max(), 0.0, tol))
+    add(_leq("two_sided_inverse_left", None, np.abs(inverse @ assembled - eye).max(), 0.0, tol))
     for record in norm_estimates(sys, blocks, alpha):
         add(record)
 
     delta = params.delta
 
     def one(k: int) -> list:
-        sub = substream_seed(config.seed, 0, k)
-        g = sample(config.model, n, sub)
+        _, g = _draw(config, n, 0, k)
         pert = invert_perturbed(sys, g, delta, "direct", alpha=alpha)
-        out = []
-        l, r = schur_logdet(sys, pert)
-        same_inf = math.isinf(l) and math.isinf(r) and (l < 0) == (r < 0)
-        out.append(CheckRecord("schur_identity", None, l, r, 1e-7 * n, bool(same_inf or abs(l - r) <= 1e-7 * n)))
+        out = [_eq("schur_identity", None, *schur_logdet(sys, pert), 1e-7 * n)]
         out.extend(interlacing_check(sys, pert))
         if pert.within_contraction:
-            drift, bound = perturbation_drift_bound(sys, pert)
-            out.append(CheckRecord("drift_bound", None, drift, bound, 1e-10, drift <= bound + 1e-10))
+            out.append(_leq("drift_bound", None, *perturbation_drift_bound(sys, pert), 1e-10))
             out.extend(perturbed_norm_estimates(pert))
-            approx = invert_perturbed(sys, g, delta, "neumann", alpha=alpha, n_terms=NEUMANN_TERMS)
+            approx = _neumann_blocks(sys, pert.g, pert.delta, NEUMANN_TERMS)
             # initial=0.0 covers the empty border blocks of an m = 0 deflation.
-            pairs = zip(vars(approx.blocks).values(), vars(pert.blocks).values())
+            pairs = [(getattr(approx, f.name), getattr(pert.blocks, f.name)) for f in fields(approx)]
             diff = max(float(np.abs(x - y).max(initial=0.0)) for x, y in pairs)
             tail = max(neumann_tail_bound(pert.contraction, alpha, NEUMANN_TERMS), 1e-9)
-            out.append(CheckRecord("neumann_agreement", None, diff, tail, 0.0, diff <= tail))
+            out.append(_leq("neumann_agreement", None, diff, tail, 0.0))
         return out
 
     for k, trial_records in enumerate(_map_indexed(one, config.trials, workers)):

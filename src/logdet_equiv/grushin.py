@@ -22,6 +22,7 @@ bounds the blocks satisfy.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -58,6 +59,9 @@ __all__ = [
     "perturbed_norm_estimates",
     "neumann_tail_bound",
 ]
+
+# Highest power of delta kept by the Neumann-series inversion.
+NEUMANN_TERMS = 25
 
 
 class DeflationError(ValueError):
@@ -100,7 +104,8 @@ def _leq(check: str, n: int | None, lhs: float, rhs: float, slack: float) -> Che
 
 
 def _eq(check: str, n: int | None, lhs: float, rhs: float, slack: float) -> CheckRecord:
-    return CheckRecord(check, n, float(lhs), float(rhs), slack, bool(abs(lhs - rhs) <= slack))
+    # ``lhs == rhs`` lets two same-signed infinities pass.
+    return CheckRecord(check, n, float(lhs), float(rhs), slack, bool(lhs == rhs or abs(lhs - rhs) <= slack))
 
 
 @dataclass(frozen=True)
@@ -127,6 +132,11 @@ class GrushinSystem:
         """The m smallest singular values (ascending)."""
         return self.svd.t[: self.m]
 
+    @functools.cached_property
+    def blocks(self) -> InverseBlocks:
+        """Closed-form inverse blocks of the assembled system, built once."""
+        return inverse_blocks(self)
+
 
 @dataclass(frozen=True)
 class InverseBlocks:
@@ -140,6 +150,11 @@ class InverseBlocks:
     def assembled(self) -> np.ndarray:
         return np.block([[self.e, self.e_plus], [self.e_minus, self.e_minus_plus]])
 
+    @functools.cached_property
+    def norms(self) -> tuple[float, float, float]:
+        """``(||E||, ||E_plus||, ||E_minus||)``, taken once."""
+        return operator_norm(self.e), operator_norm(self.e_plus), operator_norm(self.e_minus)
+
 
 @dataclass(frozen=True)
 class PerturbedSystem:
@@ -152,15 +167,12 @@ class PerturbedSystem:
     blocks: InverseBlocks
     norm_g: float
     contraction: float
+    a_delta: np.ndarray
 
     @property
     def within_contraction(self) -> bool:
         """Whether ``delta * ||G|| / alpha <= 1/2`` (Neumann regime)."""
         return self.contraction <= 0.5
-
-    @property
-    def a_delta(self) -> np.ndarray:
-        return self.base.a + self.delta * self.g
 
 
 def build_grushin(a, m: int) -> tuple[GrushinSystem, InverseBlocks]:
@@ -199,7 +211,7 @@ def build_grushin(a, m: int) -> tuple[GrushinSystem, InverseBlocks]:
         r_minus=np.ascontiguousarray(f_lo),
         svd=svd,
     )
-    return sys, inverse_blocks(sys)
+    return sys, sys.blocks
 
 
 def inverse_blocks(sys: GrushinSystem) -> InverseBlocks:
@@ -260,7 +272,7 @@ def invert_perturbed(
     method: str = "direct",
     *,
     alpha: float | None = None,
-    n_terms: int = 30,
+    n_terms: int = NEUMANN_TERMS,
 ) -> PerturbedSystem:
     """Invert the assembled system of ``A + delta G``.
 
@@ -305,9 +317,10 @@ def invert_perturbed(
     contraction = 0.0 if delta == 0.0 else delta * norm_g / alpha
 
     n = sys.n
+    a_delta = sys.a + delta * g
     if method == "direct":
         try:
-            inv = np.linalg.inv(_bordered(sys, sys.a + delta * g))
+            inv = np.linalg.inv(_bordered(sys, a_delta))
         except np.linalg.LinAlgError as exc:
             raise NumericalError("assembled perturbed system is singular") from exc
         blocks = InverseBlocks(
@@ -333,32 +346,26 @@ def invert_perturbed(
         blocks=blocks,
         norm_g=norm_g,
         contraction=float(contraction),
+        a_delta=a_delta,
     )
 
 
 def _neumann_blocks(sys: GrushinSystem, g: np.ndarray, delta: float, n_terms: int) -> InverseBlocks:
-    base = inverse_blocks(sys)
-    if delta == 0.0 or n_terms == 0:
+    """The series of :func:`invert_perturbed` in Horner form: ``S_0 = I``, ``S_k = I + X S_{k-1}`` with
+    ``X = -delta G E``; then ``E^d = E S_K``, ``E^d_minus = E_minus S_K``, and ``E^d_plus`` and the
+    corner add ``E M`` and ``E_minus M`` to their unperturbed blocks, with ``M = -delta S_{K-1} G E_plus``."""
+    base = sys.blocks
+    if delta == 0.0 or n_terms <= 0:
         # Empty series: the perturbed blocks are exactly the unperturbed ones.
         return base
-    ge = g @ base.e
-    g_eplus = g @ base.e_plus
-    e_acc = base.e.copy()
-    eplus_acc = base.e_plus.copy()
-    eminus_acc = base.e_minus.copy()
-    corner_acc = base.e_minus_plus.copy()
-    power = np.eye(sys.n, dtype=np.complex128)  # (G E)^{k-1}
-    coef = 1.0
-    for _ in range(n_terms):
-        coef *= -delta
-        nxt = power @ ge  # (G E)^k
-        e_acc += coef * (base.e @ nxt)
-        eminus_acc += coef * (base.e_minus @ nxt)
-        mid = power @ g_eplus  # (G E)^{k-1} G E_plus
-        eplus_acc += coef * (base.e @ mid)
-        corner_acc += coef * (base.e_minus @ mid)
-        power = nxt
-    return InverseBlocks(e=e_acc, e_plus=eplus_acc, e_minus=eminus_acc, e_minus_plus=corner_acc)
+    e, e_minus = base.e, base.e_minus
+    x = -delta * (g @ e)
+    eye = np.eye(sys.n, dtype=np.complex128)
+    s_prev, s = eye, eye + x
+    for _ in range(n_terms - 1):
+        s_prev, s = s, eye + x @ s
+    mid = -delta * (s_prev @ (g @ base.e_plus))
+    return InverseBlocks(e @ s, base.e_plus + e @ mid, e_minus @ s, base.e_minus_plus + e_minus @ mid)
 
 
 def neumann_tail_bound(contraction: float, alpha: float, n_terms: int) -> float:
@@ -428,9 +435,7 @@ def interlacing_check(sys: GrushinSystem, pert: PerturbedSystem, slack: float = 
     t_full = np.linalg.svd(pert.a_delta, compute_uv=False)[::-1]  # ascending
     corner = pert.blocks.e_minus_plus
     t_corner = np.linalg.svd(corner, compute_uv=False)[::-1]
-    norm_e = operator_norm(pert.blocks.e)
-    norm_eplus = operator_norm(pert.blocks.e_plus)
-    norm_eminus = operator_norm(pert.blocks.e_minus)
+    norm_e, norm_eplus, norm_eminus = pert.blocks.norms
     norm_r = operator_norm(sys.r_plus) * operator_norm(sys.r_minus)
     records: list[CheckRecord] = []
     for i in range(m):
@@ -456,13 +461,14 @@ def norm_estimates(sys: GrushinSystem, blocks: InverseBlocks, alpha: float, slac
     hi = float(t[m]) if m < n else math.inf
     if not lo <= alpha <= hi:
         raise ValueError(f"alpha = {alpha} outside the deflation window [{lo}, {hi}]")
+    norm_e, norm_eplus, norm_eminus = blocks.norms
     records = [
-        _leq("norm_e", None, operator_norm(blocks.e), 1.0 / alpha if alpha > 0 else math.inf, slack),
+        _leq("norm_e", None, norm_e, 1.0 / alpha if alpha > 0 else math.inf, slack),
         _leq("norm_e_minus_plus", None, operator_norm(blocks.e_minus_plus), alpha, slack),
     ]
     if m >= 1:
-        records.append(_eq("norm_e_plus", None, operator_norm(blocks.e_plus), 1.0, slack))
-        records.append(_eq("norm_e_minus", None, operator_norm(blocks.e_minus), 1.0, slack))
+        records.append(_eq("norm_e_plus", None, norm_eplus, 1.0, slack))
+        records.append(_eq("norm_e_minus", None, norm_eminus, 1.0, slack))
     return records
 
 
@@ -477,13 +483,13 @@ def perturbed_norm_estimates(pert: PerturbedSystem, slack: float = 1e-12) -> lis
         raise ContractionError(
             f"perturbed norm bounds assume delta * ||G|| / alpha <= 1/2, got {pert.contraction:.4g}"
         )
-    base = inverse_blocks(pert.base)
     alpha = pert.alpha
-    corner_move = operator_norm(pert.blocks.e_minus_plus - base.e_minus_plus)
+    corner_move = operator_norm(pert.blocks.e_minus_plus - pert.base.blocks.e_minus_plus)
+    norm_e, norm_eplus, norm_eminus = pert.blocks.norms
     records = [
-        _leq("perturbed_norm_e", None, operator_norm(pert.blocks.e), 2.0 / alpha, slack),
-        _leq("perturbed_norm_e_plus", None, operator_norm(pert.blocks.e_plus), 2.0, slack),
-        _leq("perturbed_norm_e_minus", None, operator_norm(pert.blocks.e_minus), 2.0, slack),
+        _leq("perturbed_norm_e", None, norm_e, 2.0 / alpha, slack),
+        _leq("perturbed_norm_e_plus", None, norm_eplus, 2.0, slack),
+        _leq("perturbed_norm_e_minus", None, norm_eminus, 2.0, slack),
         _leq("corner_drift", None, corner_move, 2.0 * pert.delta * pert.norm_g, slack),
     ]
     if math.isfinite(alpha):

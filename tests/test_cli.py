@@ -235,6 +235,8 @@ HOSTILE_BASE = {
         ("params", "alpha", True),
         (None, "trials", 2.7),
         (None, "probe_eps", "no"),
+        ("params", "gamma", -1000.0),
+        ("params", "L", -400.0),
     ],
 )
 def test_hostile_config_values_exit_three(tmp_path, capsys, section, key, value):

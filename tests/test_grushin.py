@@ -162,6 +162,29 @@ def test_neumann_agrees_with_direct_within_tail_bound():
         assert diff <= max(tail, 1e-9)
 
 
+@pytest.mark.parametrize("n_terms", [1, 2, 5])
+def test_neumann_series_depth_is_exact(n_terms):
+    # Partial sums of the four series in the invert_perturbed docstring,
+    # built term by term; a depth off by one misses a term of size ~0.45^K.
+    power = np.linalg.matrix_power
+    for seed in range(3):
+        sys, blocks, direct = perturbed_instance(seed, contraction=0.45, min_m=1)
+        g, d = direct.g, direct.delta
+        e, e_plus, e_minus = blocks.e, blocks.e_plus, blocks.e_minus
+        ge, eg = g @ e, e @ g
+        ks = range(n_terms + 1)
+        expected = {
+            "e": sum((-d) ** k * e @ power(ge, k) for k in ks),
+            "e_plus": sum((-d) ** k * power(eg, k) @ e_plus for k in ks),
+            "e_minus": sum((-d) ** k * e_minus @ power(ge, k) for k in ks),
+            "e_minus_plus": blocks.e_minus_plus
+            + sum((-d) ** k * e_minus @ power(ge, k - 1) @ g @ e_plus for k in ks[1:]),
+        }
+        series = invert_perturbed(sys, g, d, "neumann", alpha=direct.alpha, n_terms=n_terms)
+        for name, value in expected.items():
+            np.testing.assert_allclose(getattr(series.blocks, name), value, rtol=0, atol=1e-12, err_msg=name)
+
+
 def test_neumann_rejects_noncontractive_delta():
     sys, _ = grushin_instance(seed=20, min_m=1)
     g = gaussian_matrix(sys.n, seed=21)
