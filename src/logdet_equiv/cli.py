@@ -37,6 +37,10 @@ EXIT_VERIFY = 2
 EXIT_CONFIG = 3
 
 PARAM_FLAGS = ("alpha", "delta", "gamma", "eta", "tau", "nu_target", "headroom")
+DIAGNOSTICS_HELP = (
+    "also fill the records' norm_G, s_min_perturbed and contraction columns "
+    "(two SVDs per trial; without the flag they read nan)"
+)
 
 
 def _add_common(parser: argparse.ArgumentParser, with_matrix: bool = True) -> None:
@@ -78,10 +82,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--probe-eps", action="store_true", default=None,
                    help="measure the anti-concentration failure rate alongside the run")
+    p.add_argument("--diagnostics", action="store_true", help=DIAGNOSTICS_HELP)
 
     p = sub.add_parser("sweep", help="size sweep with delta = N^-gamma")
     _add_common(p)
     p.add_argument("--n-list", dest="n_list", help="comma-separated ascending sizes, e.g. 100,200,400")
+    p.add_argument("--diagnostics", action="store_true", help=DIAGNOSTICS_HELP)
 
     p = sub.add_parser("field", help="log-potential field over a z-grid")
     _add_common(p)
@@ -261,7 +267,7 @@ def _cmd_grushin_verify(args) -> int:
 
 def _cmd_mc(args) -> int:
     config = _resolve_config(args, "single")
-    records, summary = run_theorem2(config, workers=_resolve_workers(args))
+    records, summary = run_theorem2(config, workers=_resolve_workers(args), diagnostics=args.diagnostics)
     _print_kv(
         [
             ("N", summary["N"]),
@@ -286,7 +292,7 @@ def _cmd_mc(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _resolve_config(args, "sweep")
-    records, summary = run_theorem1(config, workers=_resolve_workers(args))
+    records, summary = run_theorem1(config, workers=_resolve_workers(args), diagnostics=args.diagnostics)
     print(f"convention = {summary['convention']}, gamma = {summary['gamma']}, eta = {summary['eta']}")
     for step in summary["per_N"]:
         print(

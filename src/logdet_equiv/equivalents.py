@@ -42,6 +42,18 @@ class ParameterError(ValueError):
     """A parameter set violates one of its declared constraints."""
 
 
+def _size_power(n: int, name: str, value: float, sign: float = 1.0) -> float:
+    """``N ** (sign * value)`` for the parameter ``name = value``.
+
+    Raises ParameterError naming the parameter when the power overflows a float.
+    """
+    try:
+        return float(n) ** (sign * float(value))
+    except OverflowError:
+        power = f"N^({'-' if sign < 0 else ''}{name})"
+        raise ParameterError(f"{name} = {value}: {power} overflows a float at N = {n}") from None
+
+
 def _as_descending(singvals) -> np.ndarray:
     s = np.asarray(singvals, dtype=float)
     if s.ndim != 1:
@@ -93,7 +105,7 @@ def auto_alpha(singvals, nu_n_target: float, L: float = 2.0, C: float = 1.0):
     """
     s = _as_descending(singvals)
     n = int(s.size)
-    lo = float(C) * float(n) ** (-float(L))
+    lo = float(C) * _size_power(n, "L", L, -1.0)
     if lo > 1.0:
         return None
     budget = nu_n_target * n / math.log(n) if n >= 2 else float(n)
@@ -124,7 +136,7 @@ def n_star(singvals, gamma: float, eta: float) -> int:
         raise ParameterError(f"eta must be positive, got {eta}")
     n = int(s.size)
     i = np.arange(1, n + 1)
-    thresholds = float(n) ** (eta - gamma) * np.sqrt(n - i + 1)
+    thresholds = _size_power(n, "eta - gamma", eta - gamma) * np.sqrt(n - i + 1)
     qualifies = s[n - i] <= thresholds
     if not qualifies.any():
         return 1
@@ -181,12 +193,15 @@ class EquivalenceParams:
     headroom: float = 0.1
 
     def violations(self, n: int, singvals=None) -> list[str]:
-        """All violated constraints at size ``n`` (empty list = valid)."""
+        """All violated constraints at size ``n`` (empty list = valid).
+
+        Raises ParameterError when a power of ``N`` overflows a float.
+        """
         out = []
         if not 0.0 < self.alpha <= 1.0:
             out.append(f"alpha = {self.alpha} outside (0, 1]")
         else:
-            floor = self.C * float(n) ** (-self.L)
+            floor = self.C * _size_power(n, "L", self.L, -1.0)
             if self.alpha < floor * (1.0 - 1e-12):
                 out.append(f"alpha = {self.alpha} below its floor C*N^-L = {floor:.3g}")
         if self.m < 0 or self.m > n:
@@ -209,10 +224,10 @@ class EquivalenceParams:
         if self.delta < 0:
             out.append(f"delta must be nonnegative, got {self.delta}")
         elif self.delta > 0 and self.tau > 0 and 0 < self.alpha:
-            lower = float(n) ** (-self.gamma)
+            lower = _size_power(n, "gamma", self.gamma, -1.0)
             if self.delta < lower * (1.0 - 1e-12):
                 out.append(f"delta = {self.delta:.3g} below N^-gamma = {lower:.3g}")
-            ratio = self.delta * float(n) ** self.kappa1 * self.tau / self.alpha
+            ratio = self.delta * _size_power(n, "kappa1", self.kappa1) * self.tau / self.alpha
             if ratio > self.headroom * (1.0 + 1e-12):
                 out.append(
                     f"delta*N^kappa1*tau/alpha = {ratio:.3g} exceeds headroom = {self.headroom}"
@@ -253,7 +268,7 @@ def error_budget(p: EquivalenceParams, n: int, eps_n: float = 0.0) -> ErrorBudge
     p.validate(n)
     if eps_n < 0:
         raise ParameterError(f"eps_n must be nonnegative, got {eps_n}")
-    bound = p.C * (p.nu_n + p.delta * p.tau * float(n) ** p.kappa1 / p.alpha)
+    bound = p.C * (p.nu_n + p.delta * p.tau * _size_power(n, "kappa1", p.kappa1) / p.alpha)
     return ErrorBudget(error_bound=float(bound), failure_prob=float(eps_n + 1.0 / p.tau))
 
 
@@ -272,6 +287,6 @@ def admissible_delta_range(
     """
     if alpha <= 0 or tau <= 0 or n < 1 or headroom <= 0:
         raise ParameterError("alpha, tau, n, headroom must all be positive")
-    lower = float(n) ** (-float(gamma))
-    upper = headroom * float(n) ** (-float(kappa1)) * alpha / tau
+    lower = _size_power(n, "gamma", gamma, -1.0)
+    upper = headroom * _size_power(n, "kappa1", kappa1, -1.0) * alpha / tau
     return (lower, upper)

@@ -301,31 +301,32 @@ def _draw(config: ExperimentConfig, n: int, block: int, k: int):
 
 
 def _trial(config: ExperimentConfig, a: np.ndarray, delta: float, block: int, k: int, diagnostics: bool = False):
-    """Trial ``k`` of work unit ``block``: ``(seed_used, lhs)`` with
-    ``lhs = (1/N) log |det (A + delta G)|``, followed by ``||G||`` and
-    ``s_min(A + delta G)`` when ``diagnostics`` is set."""
+    """Trial ``k`` of work unit ``block``: ``(seed_used, lhs, ||G||, s_min(A + delta G))``
+    with ``lhs = (1/N) log |det (A + delta G)|``.  The last two cost one SVD each
+    and are taken only when ``diagnostics`` is set; otherwise they are ``math.nan``."""
     n = a.shape[0]
     sub, g = _draw(config, n, block, k)
     a_delta = a + delta * g
     lhs = log_abs_det(a_delta) / n
     if not diagnostics:
-        return sub, lhs
+        return sub, lhs, math.nan, math.nan
     return sub, lhs, operator_norm(g), smallest_singular_value(a_delta)
 
 
-def _trial_records(config, a, delta, block, rhs, alpha, m, error_bound, workers) -> list[TrialRecord]:
+def _trial_records(config, a, delta, block, rhs, alpha, m, error_bound, workers, diagnostics) -> list[TrialRecord]:
     """One record per trial of work unit ``block``.  A NaN ``error_bound``
     claims no budget (``within_budget`` None); a NaN ``alpha`` makes the
-    contraction NaN."""
+    contraction NaN.  ``norm_g``, ``s_min_perturbed`` and ``contraction``
+    are measured only when ``diagnostics`` is set and are the ``math.nan``
+    constant otherwise, so records of one config still compare equal."""
     n = a.shape[0]
 
     def one(k: int) -> TrialRecord:
-        sub, lhs, norm_g, s_min = _trial(config, a, delta, block, k, diagnostics=True)
+        sub, lhs, norm_g, s_min = _trial(config, a, delta, block, k, diagnostics)
         error = abs(lhs - rhs)
         within = None if math.isnan(error_bound) else bool(error <= error_bound)
-        return TrialRecord(
-            k, sub, n, delta, alpha, m, lhs, rhs, error, error_bound, within, norm_g, s_min, delta * norm_g / alpha
-        )
+        contraction = delta * norm_g / alpha if diagnostics else math.nan
+        return TrialRecord(k, sub, n, delta, alpha, m, lhs, rhs, error, error_bound, within, norm_g, s_min, contraction)
 
     return _map_indexed(one, config.trials, workers)
 
@@ -344,14 +345,16 @@ def _resolve_single(config: ExperimentConfig, driver: str):
     return a, n, singvals, params
 
 
-def run_theorem2(config: ExperimentConfig, workers: int = 1):
+def run_theorem2(config: ExperimentConfig, workers: int = 1, diagnostics: bool = False):
     """Single-matrix Monte Carlo comparison against the cutoff sum.
 
     Returns ``(records, summary)``.  The summary reports the empirical
     success frequency P(error <= budget) next to the partial probability
     floor ``1 - 1/tau``; the anti-concentration failure rate ``eps_hat``
     is measured only when ``config.probe_eps`` is set (None = unavailable,
-    making the full floor unavailable too).
+    making the full floor unavailable too).  ``diagnostics`` fills the
+    records' ``norm_g``, ``s_min_perturbed`` and ``contraction`` (NaN
+    otherwise); the summary does not depend on it.
     """
     a, n, singvals, params = _resolve_single(config, "run_theorem2")
     if params.delta > 0:
@@ -382,7 +385,7 @@ def run_theorem2(config: ExperimentConfig, workers: int = 1):
         raise ConfigError(str(exc)) from exc
 
     delta = params.delta
-    records = _trial_records(config, a, delta, 0, rhs, params.alpha, params.m, budget.error_bound, workers)
+    records = _trial_records(config, a, delta, 0, rhs, params.alpha, params.m, budget.error_bound, workers, diagnostics)
     errors = [r.error for r in records]
     summary = {
         "mode": "single",
@@ -415,10 +418,12 @@ def run_theorem1(
     eta: float | None = None,
     convention: str | None = None,
     workers: int = 1,
+    diagnostics: bool = False,
 ):
     """Size sweep with ``delta = N**-gamma`` and the ``N*`` cutoff.
 
-    Explicit ``gamma``/``eta``/``convention`` arguments override the config.
+    Explicit ``gamma``/``eta``/``convention`` arguments override the config;
+    ``diagnostics`` is as in :func:`run_theorem2`.
     Sweep steps whose right side is ``-inf`` (possible under the inclusive
     convention on exactly singular spectra) are recorded and flagged, and
     excluded from the cross-N error trend with an explicit count.
@@ -448,7 +453,9 @@ def run_theorem1(
         cutoff_index = n_star(singvals, gamma, eta)
         rhs = bpz_equivalent(singvals, cutoff_index, convention)
         rhs_by_convention = {c: bpz_equivalent(singvals, cutoff_index, c) for c in CONVENTIONS}
-        step_records = _trial_records(config, a, delta, block, rhs, math.nan, cutoff_index, math.nan, workers)
+        step_records = _trial_records(
+            config, a, delta, block, rhs, math.nan, cutoff_index, math.nan, workers, diagnostics
+        )
         records.extend(step_records)
         flagged = not math.isfinite(rhs)
         step_errors = [r.error for r in step_records]

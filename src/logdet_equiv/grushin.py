@@ -22,7 +22,6 @@ bounds the blocks satisfy.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -99,6 +98,28 @@ class CheckRecord:
         }
 
 
+class _cached:
+    """An attribute computed on first read and then kept in the instance ``__dict__``.
+
+    ``functools.cached_property`` does the same but, on Python <= 3.11, holds
+    one lock for all instances while it computes, which would make trials on a
+    thread pool wait for each other's SVDs and LUs.
+    """
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.__doc__ = fn.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 def _leq(check: str, n: int | None, lhs: float, rhs: float, slack: float) -> CheckRecord:
     return CheckRecord(check, n, float(lhs), float(rhs), slack, bool(lhs <= rhs + slack))
 
@@ -132,10 +153,15 @@ class GrushinSystem:
         """The m smallest singular values (ascending)."""
         return self.svd.t[: self.m]
 
-    @functools.cached_property
+    @_cached
     def blocks(self) -> InverseBlocks:
         """Closed-form inverse blocks of the assembled system, built once."""
         return inverse_blocks(self)
+
+    @_cached
+    def assembled_logdet(self) -> float:
+        """``log |det P|`` of :func:`assemble`, taken once."""
+        return log_abs_det(assemble(self))
 
 
 @dataclass(frozen=True)
@@ -150,7 +176,7 @@ class InverseBlocks:
     def assembled(self) -> np.ndarray:
         return np.block([[self.e, self.e_plus], [self.e_minus, self.e_minus_plus]])
 
-    @functools.cached_property
+    @_cached
     def norms(self) -> tuple[float, float, float]:
         """``(||E||, ||E_plus||, ||E_minus||)``, taken once."""
         return operator_norm(self.e), operator_norm(self.e_plus), operator_norm(self.e_minus)
@@ -173,6 +199,11 @@ class PerturbedSystem:
     def within_contraction(self) -> bool:
         """Whether ``delta * ||G|| / alpha <= 1/2`` (Neumann regime)."""
         return self.contraction <= 0.5
+
+    @_cached
+    def assembled_logdet(self) -> float:
+        """``log |det P^d|`` of :func:`assemble_perturbed`, taken on first use."""
+        return log_abs_det(assemble_perturbed(self))
 
 
 def build_grushin(a, m: int) -> tuple[GrushinSystem, InverseBlocks]:
@@ -251,7 +282,7 @@ def grushin_det_identity(sys: GrushinSystem) -> tuple[float, float]:
     ``t_i^2``.  Returns ``(lhs, rhs)``; both are ``-inf`` when a retained
     singular value vanishes.
     """
-    lhs = 2.0 * log_abs_det(assemble(sys))
+    lhs = 2.0 * sys.assembled_logdet
     t_hi = sys.retained
     if t_hi.size and float(t_hi[0]) == 0.0:
         rhs = float("-inf")
@@ -398,7 +429,7 @@ def schur_logdet(sys: GrushinSystem, pert: PerturbedSystem) -> tuple[float, floa
     """
     _check_pairing(sys, pert)
     lhs = log_abs_det(pert.a_delta)
-    rhs = log_abs_det(assemble_perturbed(pert)) + log_abs_det(pert.blocks.e_minus_plus)
+    rhs = pert.assembled_logdet + log_abs_det(pert.blocks.e_minus_plus)
     return lhs, rhs
 
 
@@ -409,9 +440,7 @@ def perturbation_drift_bound(sys: GrushinSystem, pert: PerturbedSystem) -> tuple
     and ``bound = 2 delta ||G|| / alpha``, valid in the contraction regime.
     """
     _check_pairing(sys, pert)
-    lhs = log_abs_det(assemble_perturbed(pert))
-    base = log_abs_det(assemble(sys))
-    drift = abs(lhs - base) / sys.n
+    drift = abs(pert.assembled_logdet - sys.assembled_logdet) / sys.n
     bound = 2.0 * pert.contraction
     return float(drift), float(bound)
 

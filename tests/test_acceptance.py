@@ -254,6 +254,22 @@ def test_criterion_8_worker_count_reproducibility(tmp_path):
     print("criterion 8: records, summary, and field CSVs byte-identical at workers 1 vs 8")
 
 
+def test_criterion_8_diagnostic_columns_worker_count_reproducibility(tmp_path):
+    # The same run with the diagnostic SVDs requested: norm_G, s_min_perturbed
+    # and contraction must be worker-count independent too.
+    base = ["mc", "--matrix", "diag:2x36,0x4", "--n", "40", "--alpha", "1.0",
+            "--delta", "1e-4", "--gamma", "4.0", "--trials", "16", "--seed", "99", "--diagnostics"]
+    assert cli.main(base + ["--workers", "1", "--out", str(tmp_path / "w1")]) == 0
+    assert cli.main(base + ["--workers", "8", "--out", str(tmp_path / "w8")]) == 0
+    assert filecmp.cmp(tmp_path / "w1_records.csv", tmp_path / "w8_records.csv", shallow=False)
+    header, *rows = (tmp_path / "w1_records.csv").read_text().splitlines()
+    columns = header.split(",")
+    diagnostics = [[float(row.split(",")[columns.index(c)]) for c in ("norm_G", "s_min_perturbed", "contraction")]
+                   for row in rows]
+    assert len(diagnostics) == 16 and np.isfinite(diagnostics).all()
+    print("criterion 8 (diagnostics): records CSVs with the diagnostic columns byte-identical at workers 1 vs 8")
+
+
 def test_criterion_9_field_mode_consistency():
     # Every grid point has |z| = 2, so the zero matrix's cutoff sum is the
     # mean of 32 copies of log 2 -- exact in floating point at this size.

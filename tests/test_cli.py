@@ -1,11 +1,23 @@
 """End-to-end tests for the command-line interface."""
 
+import csv
 import glob
 import json
+import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from logdet_equiv import cli, read_config
+from logdet_equiv import (
+    cli,
+    operator_norm,
+    parse_matrix_arg,
+    read_config,
+    realize,
+    sample,
+    smallest_singular_value,
+)
 
 SUBCOMMANDS = ("equiv", "grushin-verify", "mc", "sweep", "field", "probe-noise")
 
@@ -247,4 +259,157 @@ def test_hostile_config_values_exit_three(tmp_path, capsys, section, key, value)
     assert cli.main(["mc", "--config", str(path)]) == 3
     err = capsys.readouterr().err
     assert "configuration error" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, params, argv, named",
+    [
+        ("mc", {"L": -400.0}, [], "L = -400.0"),
+        ("mc", {"gamma": -1000.0}, [], "gamma = -1000.0"),
+        ("mc", {"kappa1": 1000.0, "delta": 0.0}, [], "kappa1 = 1000.0"),
+        ("mc", {"alpha": "auto", "L": -400.0}, [], "L = -400.0"),
+        ("equiv", {"alpha": "auto", "L": -400.0}, [], "L = -400.0"),
+        ("grushin-verify", {"alpha": "auto", "L": -400.0}, [], "L = -400.0"),
+        ("sweep", {"eta": 1000.0}, ["--matrix", "jordan", "--n-list", "8,16"], "eta - gamma = 996.0"),
+    ],
+)
+def test_overflowing_parameter_is_named(tmp_path, capsys, command, params, argv, named):
+    payload = json.loads(json.dumps(HOSTILE_BASE))
+    payload["params"].update(params)
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(payload))
+    assert cli.main([command, "--config", str(path), *argv]) == 3
+    err = capsys.readouterr().err
+    assert f"configuration error: {named}: N^(" in err
+    assert "overflows a float" in err
+    assert "Traceback" not in err
+
+
+DIAGNOSTIC_COLUMNS = ("norm_G", "s_min_perturbed", "contraction")
+
+
+def read_records(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+@pytest.mark.parametrize(
+    "argv, matrix",
+    [
+        (["mc", "--matrix", "diag:2x9,0x3", "--n", "12", "--alpha", "1.0", "--delta", "1e-4",
+          "--gamma", "4.0", "--trials", "4", "--seed", "3"], "diag:2x9,0x3"),
+        (["sweep", "--matrix", "bidiag:0.5,1", "--n", "8", "--n-list", "8,16", "--gamma", "1.0",
+          "--trials", "3", "--seed", "5", "--convention", "drop_all_small"], "bidiag:0.5,1"),
+    ],
+)
+def test_diagnostics_flag_fills_only_the_diagnostic_columns(tmp_path, capsys, argv, matrix):
+    assert cli.main(argv + ["--out", str(tmp_path / "off")]) == 0
+    assert cli.main(argv + ["--diagnostics", "--out", str(tmp_path / "on")]) == 0
+    capsys.readouterr()
+    off, on = read_records(tmp_path / "off_records.csv"), read_records(tmp_path / "on_records.csv")
+    assert len(off) == len(on) > 0
+    summaries = []
+    for prefix in ("off", "on"):
+        payload = json.loads((tmp_path / f"{prefix}_summary.json").read_text())
+        payload["config"].pop("output")
+        summaries.append(payload)
+    assert summaries[0] == summaries[1]
+    for row_off, row_on in zip(off, on):
+        for column in row_off:
+            if column not in DIAGNOSTIC_COLUMNS:
+                assert row_off[column] == row_on[column], column
+        assert [row_off[c] for c in DIAGNOSTIC_COLUMNS] == ["nan"] * 3
+        # Redraw the trial's noise from its recorded substream seed.
+        n, delta, alpha = int(row_on["N"]), float(row_on["delta"]), float(row_on["alpha"])
+        g = sample("complex_ginibre", n, int(row_on["seed_used"]))
+        a = realize(parse_matrix_arg(matrix, n, None))
+        norm_g = operator_norm(g)
+        assert float(row_on["norm_G"]) == norm_g
+        assert float(row_on["s_min_perturbed"]) == smallest_singular_value(a + delta * g)
+        if math.isnan(alpha):  # sweep mode claims no cutoff
+            assert row_on["contraction"] == "nan"
+        else:
+            assert float(row_on["contraction"]) == delta * norm_g / alpha
+
+
+# One small, valid config per fuzzed subcommand; every value that sizes the
+# work (matrix.n, N_list, trials, z_grid.steps) is at most 8.
+FUZZ_BASES = {
+    "mc": {
+        "matrix": {"kind": "diagonal", "n": 8, "diag": [[2.0, 6], [0.0, 2]]},
+        "model": "complex_ginibre",
+        "params": {"alpha": 1.0, "gamma": 4.0, "delta": 1e-3},
+        "trials": 2,
+        "seed": 1,
+    },
+    "sweep": {
+        "matrix": {"kind": "jordan", "n": 4},
+        "model": "real_gaussian",
+        "params": {"gamma": 1.0, "eta": 0.01},
+        "trials": 2,
+        "seed": 2,
+        "mode": "sweep",
+        "convention": "drop_all_small",
+        "N_list": [4, 8],
+    },
+    "field": {
+        "matrix": {"kind": "zero", "n": 4},
+        "model": "complex_ginibre",
+        "params": {"alpha": 1.0, "gamma": 4.0, "delta": 1e-3},
+        "trials": 2,
+        "seed": 3,
+        "mode": "field",
+        "z_grid": {"re_min": 0.5, "re_max": 1.5, "im_min": -0.5, "im_max": 0.5, "steps": 2},
+    },
+    "grushin-verify": {
+        "matrix": {"kind": "bidiagonal_toeplitz", "n": 6, "a": [0.5, 0.0], "b": [1.0, 0.0]},
+        "model": "complex_ginibre",
+        "params": {"alpha": "auto", "delta": 1e-4, "gamma": 4.0},
+        "trials": 2,
+        "seed": 4,
+    },
+}
+
+# Arbitrary JSON whose integers never exceed 8, so no replaced value can ask
+# for a large matrix, many trials or a large grid.
+SMALL_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(max_value=8) | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def same_json_type(value):
+    """Replacements of the JSON type of ``value``, which pass the type checks more often."""
+    if isinstance(value, bool):
+        return st.booleans()
+    if isinstance(value, int):
+        return st.integers(max_value=8)
+    if isinstance(value, float):
+        return st.floats()
+    return SMALL_JSON
+
+
+@pytest.mark.parametrize("command", sorted(FUZZ_BASES))
+def test_cli_fuzz_bases_run(tmp_path, capsys, command):
+    config = tmp_path / "base.json"
+    config.write_text(json.dumps(FUZZ_BASES[command]))
+    assert cli.main([command, "--config", str(config), "--workers", "1"]) == 0, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(FUZZ_BASES))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_cli_config_with_one_replaced_value(tmp_path, capsys, command, data):
+    payload = json.loads(json.dumps(FUZZ_BASES[command]))
+    nested = [(key, sub) for key, value in payload.items() if isinstance(value, dict) for sub in value]
+    path = data.draw(st.sampled_from([(key,) for key in payload] + nested))
+    target = payload if len(path) == 1 else payload[path[0]]
+    target[path[-1]] = data.draw(SMALL_JSON | same_json_type(target[path[-1]]))
+    config = tmp_path / "fuzz.json"
+    config.write_text(json.dumps(payload))
+    code = cli.main([command, "--config", str(config), "--workers", "1", "--out", str(tmp_path / "fuzz")])
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3), err
     assert "Traceback" not in err

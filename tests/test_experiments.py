@@ -3,6 +3,7 @@
 import json
 import math
 import pathlib
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -286,6 +287,20 @@ def test_grushin_suite_all_checks_pass():
     assert {"det_identity", "two_sided_inverse_right", "schur_identity", "neumann_agreement"} <= names
     static = [c for c in checks if c["trial"] is None]
     assert len(static) >= 3
+
+
+def test_grushin_suite_worker_count_does_not_change_checks():
+    # Each trial fills its own perturbed system's cached determinant and
+    # block norms; a short switch interval interleaves the threads often.
+    config = single_config(trials=12)
+    serial, _ = run_grushin_suite(config, workers=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded, _ = run_grushin_suite(config, workers=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
 
 
 def test_grushin_suite_mode_gate():

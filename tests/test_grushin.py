@@ -17,6 +17,7 @@ from logdet_equiv import (
     interlacing_check,
     invert_perturbed,
     inverse_blocks,
+    log_abs_det,
     neumann_tail_bound,
     norm_estimates,
     operator_norm,
@@ -24,6 +25,8 @@ from logdet_equiv import (
     perturbed_norm_estimates,
     schur_logdet,
 )
+
+from logdet_equiv import grushin as grushin_module
 
 from helpers import gaussian_matrix, grushin_instance, midpoint_alpha, perturbed_instance
 
@@ -334,3 +337,19 @@ def test_inverse_blocks_standalone_matches_build():
     again = inverse_blocks(sys)
     np.testing.assert_array_equal(again.e, blocks.e)
     np.testing.assert_array_equal(again.e_minus_plus, blocks.e_minus_plus)
+
+
+def test_each_assembled_determinant_is_taken_once(monkeypatch):
+    sys, _, pert = perturbed_instance(seed=64, contraction=0.3, min_m=1)
+    expected = {"base": log_abs_det(assemble(sys)), "perturbed": log_abs_det(assemble_perturbed(pert))}
+    calls = []
+    monkeypatch.setattr(grushin_module, "log_abs_det", lambda x: calls.append(x.shape[0]) or log_abs_det(x))
+    for _ in range(2):
+        det_lhs, _ = grushin_det_identity(sys)
+        _, schur_rhs = schur_logdet(sys, pert)
+        drift, _ = perturbation_drift_bound(sys, pert)
+    # One LU per assembled system; A + delta G and the corner are taken per call.
+    assert sorted(calls) == sorted([sys.n + sys.m] * 2 + [sys.n, sys.m] * 2)
+    assert det_lhs == 2.0 * expected["base"]
+    assert schur_rhs == expected["perturbed"] + log_abs_det(pert.blocks.e_minus_plus)
+    assert drift == abs(expected["perturbed"] - expected["base"]) / sys.n
