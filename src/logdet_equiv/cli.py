@@ -3,9 +3,9 @@
 Subcommands: ``equiv`` (print cutoff sums, no sampling), ``grushin-verify``
 (identity suite), ``mc`` (single-matrix Monte Carlo), ``sweep``
 (size-asymptotic runs), ``field`` (log-potential grid), ``probe-noise``
-(noise-model diagnostics).  Flag overrides always win over config-file
-values.  Exit status: 0 on success, 2 on verification failure, 3 on
-configuration errors.
+(noise-model diagnostics).  A given flag always wins over the config-file
+value and is checked exactly like it.  Exit status: 0 on success, 2 on
+verification failure (or an argparse usage error), 3 on configuration errors.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -22,7 +21,8 @@ from .equivalents import CONVENTIONS, ParameterError, bpz_equivalent, determinis
 from .experiments import (
     ConfigError,
     ExperimentConfig,
-    ZGrid,
+    config_from_dict,
+    config_to_dict,
     log_potential_field,
     read_config,
     run_grushin_suite,
@@ -36,26 +36,37 @@ EXIT_OK = 0
 EXIT_VERIFY = 2
 EXIT_CONFIG = 3
 
+# Flags named after the config key they overlay: top level, params, z_grid.
+TOP_FLAGS = ("model", "trials", "seed", "output", "convention", "probe_eps")
 PARAM_FLAGS = ("alpha", "delta", "gamma", "eta", "tau", "nu_target", "headroom")
+GRID_FLAGS = ("re_min", "re_max", "im_min", "im_max", "steps")
 DIAGNOSTICS_HELP = (
     "also fill the records' norm_G, s_min_perturbed and contraction columns "
     "(two SVDs per trial; without the flag they read nan)"
 )
 
 
-def _add_common(parser: argparse.ArgumentParser, with_matrix: bool = True) -> None:
+def _float_or_text(text: str):
+    """``--alpha``'s type: a float, else the text itself, which the config
+    check accepts only as ``auto``."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON experiment config; flags override its values")
     parser.add_argument("--seed", type=int, help="64-bit root seed")
-    parser.add_argument("--out", help="output path prefix for CSV/JSON artifacts")
+    parser.add_argument("--out", dest="output", metavar="OUT", help="output path prefix for CSV/JSON artifacts")
     parser.add_argument("--trials", type=int, help="number of noise draws")
     parser.add_argument("--workers", type=int, default=None,
                         help="thread pool size (default: $LOGDET_EQUIV_WORKERS or 1); output is worker-count independent")
-    if with_matrix:
-        parser.add_argument("--matrix", help="matrix spec: jordan | zero | diag:2x190,0x10 | bidiag:a,b | file:PATH")
-        parser.add_argument("--n", type=int, help="matrix size")
-        parser.add_argument("--shift", help="complex shift z; the realized matrix is z*I - A")
-        parser.add_argument("--model", choices=NOISE_KINDS, help="noise model")
-    parser.add_argument("--alpha", help="singular-value cutoff in (0,1], or 'auto'")
+    parser.add_argument("--matrix", help="matrix spec: jordan | zero | diag:2x190,0x10 | bidiag:a,b | file:PATH")
+    parser.add_argument("--n", type=int, help="matrix size")
+    parser.add_argument("--shift", help="complex shift z; the realized matrix is z*I - A")
+    parser.add_argument("--model", choices=NOISE_KINDS, help="noise model")
+    parser.add_argument("--alpha", type=_float_or_text, help="singular-value cutoff in (0,1], or 'auto'")
     parser.add_argument("--delta", type=float, help="noise amplitude")
     parser.add_argument("--gamma", type=float, help="noise-scale exponent (delta = N^-gamma in sweep mode)")
     parser.add_argument("--eta", type=float, help="cutoff-index exponent")
@@ -120,86 +131,51 @@ def _resolve_workers(args) -> int:
     return workers
 
 
-def _shift(args):
-    text = getattr(args, "shift", None)
-    return None if text is None else _parse_complex(text)
-
-
 def _parse_number_list(text, kind=float):
     return tuple(kind(part) for part in text.split(",") if part.strip())
 
 
+def _given(args, names) -> dict:
+    """The flags among ``names`` that were given, even as ``0`` or empty."""
+    return {name: getattr(args, name) for name in names if getattr(args, name, None) is not None}
+
+
 def _resolve_config(args, mode: str) -> ExperimentConfig:
-    """Merge config file (if any) with flag overrides and force ``mode``."""
-    if args.config:
-        config = read_config(args.config)
-    else:
-        if not getattr(args, "matrix", None) or not getattr(args, "n", None):
-            raise ConfigError("without --config, both --matrix and --n are required")
-        config = ExperimentConfig(
-            matrix=parse_matrix_arg(args.matrix, args.n, _shift(args)),
-            model=getattr(args, "model", None) or "complex_ginibre",
-            mode="single",
-        )
+    """Lay every given flag over the JSON form of ``--config`` (or of a
+    default-model config) and parse the result once, so a flag is typed and
+    checked exactly like the config value it replaces."""
+    base = None if args.config is None else read_config(args.config)
+    d = {"model": "complex_ginibre"} if base is None else config_to_dict(base)
+    if args.matrix is not None and (args.n is not None or base is not None):
+        d["matrix"] = config_to_dict(parse_matrix_arg(args.matrix, base.matrix.n if args.n is None else args.n))
+    elif args.n is not None and base is not None:
+        d["matrix"] = config_to_dict(base.matrix.with_size(args.n))
+    elif base is None:
+        raise ConfigError("without --config, both --matrix and --n are required")
+    if args.shift is not None:
+        d["matrix"]["shift"] = args.shift
+    d.update(_given(args, TOP_FLAGS))
+    d.setdefault("params", {}).update(_given(args, PARAM_FLAGS))
 
-    changes = {}
-    if args.config and getattr(args, "matrix", None):
-        size = args.n if getattr(args, "n", None) else config.matrix.n
-        changes["matrix"] = parse_matrix_arg(args.matrix, size, _shift(args))
-    elif args.config and getattr(args, "n", None):
-        changes["matrix"] = config.matrix.with_size(args.n)
-    if getattr(args, "model", None) and args.config:
-        changes["model"] = args.model
-    if args.trials is not None:
-        changes["trials"] = args.trials
-    if args.seed is not None:
-        changes["seed"] = args.seed
-    if args.out is not None:
-        changes["output"] = args.out
-    if getattr(args, "convention", None):
-        changes["convention"] = args.convention
-    if getattr(args, "probe_eps", None) is not None:
-        changes["probe_eps"] = args.probe_eps
-
-    # argparse already typed every flag but --alpha, which may be "auto".
-    param_changes = {name: getattr(args, name) for name in PARAM_FLAGS if getattr(args, name, None) is not None}
-    if param_changes.get("alpha", "auto") != "auto":
-        param_changes["alpha"] = float(param_changes["alpha"])
-    if param_changes:
-        changes["params"] = replace(config.params, **param_changes)
-
+    d["mode"] = mode
     if mode == "sweep":
-        changes["mode"] = "sweep"
-        if getattr(args, "n_list", None):
-            changes["n_list"] = _parse_number_list(args.n_list, int)
-        elif not config.n_list:
+        if args.n_list is not None:
+            d["N_list"] = _parse_number_list(args.n_list, int)
+        elif "N_list" not in d:
             raise ConfigError("sweep needs --n-list or a config with N_list")
     elif mode == "field":
-        changes["mode"] = "field"
-        grid_flags = {k: getattr(args, k) for k in ("re_min", "re_max", "im_min", "im_max", "steps")}
-        if any(v is not None for v in grid_flags.values()):
-            base = config.z_grid
-            merged = {
-                k: (grid_flags[k] if grid_flags[k] is not None else getattr(base, k, None))
-                for k in grid_flags
-            }
-            missing = [k for k, v in merged.items() if v is None]
+        grid = _given(args, GRID_FLAGS)
+        if grid:
+            d["z_grid"] = grid = {**d.get("z_grid", {}), **grid}
+            missing = [k for k in GRID_FLAGS if k not in grid]
             if missing:
                 raise ConfigError(f"field mode is missing grid values: {missing}")
-            changes["z_grid"] = ZGrid(**merged)
-        elif config.z_grid is None:
+        elif "z_grid" not in d:
             raise ConfigError("field needs z-grid flags or a config with z_grid")
     else:
-        changes["mode"] = "single"
-        if config.n_list:
-            changes["n_list"] = ()
-        if config.z_grid is not None:
-            changes["z_grid"] = None
-
-    try:
-        return replace(config, **changes) if changes else config
-    except (ConfigError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+        d.pop("N_list", None)
+        d.pop("z_grid", None)
+    return config_from_dict(d)
 
 
 def _print_kv(pairs) -> None:
@@ -327,18 +303,18 @@ def _cmd_field(args) -> int:
 
 
 def _cmd_probe_noise(args) -> int:
-    model = getattr(args, "model", None) or "complex_ginibre"
-    n = getattr(args, "n", None) or 200
+    model = args.model if args.model is not None else "complex_ginibre"
+    n = args.n if args.n is not None else 200
     trials = args.trials if args.trials is not None else 200
     seed = args.seed if args.seed is not None else 0
-    sizes = _parse_number_list(args.n_list, int) if args.n_list else (50, 100, 200)
-    taus = _parse_number_list(args.tau_list) if args.tau_list else (2.0, 5.0, 10.0)
-    betas = _parse_number_list(args.beta_list) if args.beta_list else (0.5, 1.0, 2.0)
+    sizes = _parse_number_list(args.n_list, int) if args.n_list is not None else (50, 100, 200)
+    taus = _parse_number_list(args.tau_list) if args.tau_list is not None else (2.0, 5.0, 10.0)
+    betas = _parse_number_list(args.beta_list) if args.beta_list is not None else (0.5, 1.0, 2.0)
 
     growth = norm_growth_probe(model, sizes, min(trials, 50), substream_seed(seed, 0))
     markov = markov_tail_check(model, n, trials, taus, seed=substream_seed(seed, 1))
-    if getattr(args, "matrix", None):
-        d = realize(parse_matrix_arg(args.matrix, n, _shift(args)))
+    if args.matrix is not None:
+        d = realize(parse_matrix_arg(args.matrix, n, None if args.shift is None else _parse_complex(args.shift)))
     else:
         d = np.zeros((n, n), dtype=np.complex128)
     anti = anti_concentration_probe(d, model, trials, betas, substream_seed(seed, 2))
@@ -361,7 +337,7 @@ def _cmd_probe_noise(args) -> int:
         "markov": markov.summary,
         "anti_concentration": anti.summary,
     }
-    _write([*growth.per_n, markov, anti], args.out, summary)
+    _write([*growth.per_n, markov, anti], args.output, summary)
     return EXIT_OK if ok else EXIT_VERIFY
 
 

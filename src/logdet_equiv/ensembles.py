@@ -230,15 +230,18 @@ def read_matrix_csv(path) -> np.ndarray:
         raise ValueError(f"{path!r} line 1: expected the matrix size, got {lines[0]!r}") from exc
     if len(lines) != n + 1:
         raise ValueError(f"{path!r}: expected {n} rows after the header, found {len(lines) - 1}")
-    out = np.empty((n, n), dtype=np.complex128)
-    for i, line in enumerate(lines[1:]):
+    # Every row is checked before the array exists, so its size is bounded by the file's.
+    rows = []
+    for i, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
         if len(cells) != n:
-            raise ValueError(f"{path!r} line {i + 2}: expected {n} cells, found {len(cells)}")
-        for j, cell in enumerate(cells):
+            raise ValueError(f"{path!r} line {i}: expected {n} cells, found {len(cells)}")
+        row = []
+        for j, cell in enumerate(cells, start=1):
             try:
                 re_text, im_text = cell.split(":")
-                out[i, j] = complex(float(re_text), float(im_text))
+                row.append(complex(float(re_text), float(im_text)))
             except ValueError as exc:
-                raise ValueError(f"{path!r} line {i + 2}, cell {j + 1}: cannot parse {cell!r}") from exc
-    return out
+                raise ValueError(f"{path!r} line {i}, cell {j}: cannot parse {cell!r}") from exc
+        rows.append(row)
+    return np.array(rows, dtype=np.complex128).reshape(n, n)

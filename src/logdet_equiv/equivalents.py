@@ -50,7 +50,8 @@ def _size_power(n: int, name: str, value: float, sign: float = 1.0) -> float:
     try:
         return float(n) ** (sign * float(value))
     except OverflowError:
-        power = f"N^({'-' if sign < 0 else ''}{name})"
+        exponent = name if sign > 0 else f"-({name})" if " " in name else f"-{name}"
+        power = f"N^({exponent})"
         raise ParameterError(f"{name} = {value}: {power} overflows a float at N = {n}") from None
 
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .equivalents import _size_power
 from .linalg import as_matrix, operator_norm, smallest_singular_value
 
 __all__ = [
@@ -222,12 +223,15 @@ def anti_concentration_probe(
     _check_kind(model)
     n = d.shape[0]
     betas = [float(b) for b in beta_list]
+    thresholds = [_size_power(n, "beta", b, -1.0) for b in betas]
     rescaled = delta is not None or gamma is not None
     if rescaled:
         if delta is None or gamma is None:
             raise ValueError("the rescaled variant needs both delta and gamma")
-        if delta < float(n) ** (-gamma):
-            raise ValueError(f"rescaled variant assumes delta >= N^-gamma = {float(n) ** (-gamma):.3g}")
+        floor = _size_power(n, "gamma", gamma, -1.0)
+        if delta < floor:
+            raise ValueError(f"rescaled variant assumes delta >= N^-gamma = {floor:.3g}")
+        rescaled_thresholds = [_size_power(n, "gamma + beta", gamma + b, -1.0) for b in betas]
     if trials == 0:
         summary = {"mean": None, "quantiles": None, "frequencies": None, "rescaled_frequencies": None}
         return ProbeResult(model, n, 0, "smallest_singular_value", (), summary)
@@ -239,18 +243,13 @@ def anti_concentration_probe(
         if rescaled:
             smin_rescaled[k] = smallest_singular_value(d + delta * g)
     frequencies = [
-        {"beta": b, "threshold": float(n) ** (-b), "frequency": float(np.mean(smin <= float(n) ** (-b)))}
-        for b in betas
+        {"beta": b, "threshold": t, "frequency": float(np.mean(smin <= t))} for b, t in zip(betas, thresholds)
     ]
     rescaled_frequencies = None
     if rescaled:
         rescaled_frequencies = [
-            {
-                "beta": b,
-                "threshold": float(n) ** (-(gamma + b)),
-                "frequency": float(np.mean(smin_rescaled <= float(n) ** (-(gamma + b)))),
-            }
-            for b in betas
+            {"beta": b, "threshold": t, "frequency": float(np.mean(smin_rescaled <= t))}
+            for b, t in zip(betas, rescaled_thresholds)
         ]
     summary = dict(_base_summary(smin))
     summary.update({"frequencies": frequencies, "rescaled_frequencies": rescaled_frequencies})

@@ -145,6 +145,32 @@ def test_config_errors_exit_three(argv, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["mc", "--matrix", "jordan", "--n", "8", "--delta", "nan"], "config.params.delta: expected float, got nan"),
+        (["equiv", "--matrix", "jordan", "--n", "8", "--eta", "nan"], "config.params.eta: expected float, got nan"),
+        (["sweep", "--matrix", "jordan", "--n", "8", "--n-list", "8,16", "--gamma", "nan"], "config.params.gamma"),
+        (["field", "--config", "configs/field_jordan.json", "--n", "8", "--re-max", "inf"], "config.z_grid.re_max"),
+        (["mc", "--matrix", "jordan", "--n", "8", "--shift", "nan"], "config.matrix.shift"),
+        (["mc", "--matrix", "jordan", "--n", "8", "--alpha=-inf"], "config.params.alpha"),
+        (["equiv", "--config", "configs/jordan500.json", "--n", "0"], "matrix size must be >= 1, got 0"),
+        (["sweep", "--config", "configs/jordan_sweep.json", "--n-list", ""], "needs a nonempty N_list"),
+        (["probe-noise", "--n", "0", "--trials", "100", "--n-list", "4,8"], "matrix size must be >= 1, got 0"),
+    ],
+)
+def test_given_flag_is_checked_like_a_config_value(capsys, argv, named):
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert "configuration error: " in err and named in err
+    assert "Traceback" not in err
+
+
+def test_shift_flag_applies_to_a_config_matrix(capsys):
+    assert cli.main(["equiv", "--config", "configs/jordan500.json", "--n", "8", "--shift", "2"]) == 0
+    assert "matrix = jordan N=8 shift=(2+0j)" in capsys.readouterr().out
+
+
 def test_malformed_json_exit_three(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json\n")
@@ -272,6 +298,9 @@ def test_hostile_config_values_exit_three(tmp_path, capsys, section, key, value)
         ("equiv", {"alpha": "auto", "L": -400.0}, [], "L = -400.0"),
         ("grushin-verify", {"alpha": "auto", "L": -400.0}, [], "L = -400.0"),
         ("sweep", {"eta": 1000.0}, ["--matrix", "jordan", "--n-list", "8,16"], "eta - gamma = 996.0"),
+        ("mc", {"beta": -1000.0}, ["--probe-eps"], "beta = -1000.0"),
+        ("probe-noise", {}, ["--n", "12", "--trials", "100", "--n-list", "4,8", "--tau-list", "2",
+                             "--beta-list=1,-1000"], "beta = -1000.0"),
     ],
 )
 def test_overflowing_parameter_is_named(tmp_path, capsys, command, params, argv, named):
@@ -413,3 +442,67 @@ def test_cli_config_with_one_replaced_value(tmp_path, capsys, command, data):
     err = capsys.readouterr().err
     assert code in (0, 2, 3), err
     assert "Traceback" not in err
+
+
+# One small, valid command line per fuzzed subcommand, and the flags that
+# take a value.  --config and --out are left out: an arbitrary value there
+# names a file to read or a prefix to write anywhere.
+COMMON_VALUE_FLAGS = (
+    "--seed", "--trials", "--workers", "--matrix", "--n", "--shift", "--model", "--alpha",
+    "--delta", "--gamma", "--eta", "--tau", "--nu-target", "--headroom", "--convention",
+)
+FLAG_FUZZ_BASES = {
+    "mc": (["mc", "--matrix", "diag:2x6,0x2", "--n", "8", "--alpha", "1.0", "--gamma", "4.0",
+            "--delta", "1e-3", "--trials", "2", "--seed", "1"], ()),
+    "sweep": (["sweep", "--matrix", "jordan", "--n", "4", "--n-list", "4,8", "--gamma", "1.0",
+               "--trials", "2", "--seed", "2", "--convention", "drop_all_small"], ("--n-list",)),
+    "field": (["field", "--matrix", "zero", "--n", "4", "--alpha", "1.0", "--gamma", "4.0", "--delta", "1e-3",
+               "--trials", "2", "--seed", "3", "--re-min", "0.5", "--re-max", "1.5", "--im-min", "-0.5",
+               "--im-max", "0.5", "--steps", "2"], ("--re-min", "--re-max", "--im-min", "--im-max", "--steps")),
+    "equiv": (["equiv", "--matrix", "jordan", "--n", "8", "--alpha", "0.5"], ()),
+}
+
+# Flag values as text.  No text holds a decimal digit and every integer is at
+# most 8, so no value asks for a large matrix, many trials, a large grid or
+# many threads; floats range over everything, nan and inf included.
+NO_DIGITS = st.characters(blacklist_categories=("Nd", "Cs"))
+FLAG_VALUES = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf"]),
+    st.sampled_from(["", "0", "-0", "auto", "jordan", "zero", "diag:", "bidiag:1,2", "file:"]),
+    st.integers(max_value=8).map(str),
+    st.floats().map(repr),
+    st.lists(st.integers(max_value=8), max_size=3).map(lambda sizes: ",".join(map(str, sizes))),
+    st.text(alphabet=NO_DIGITS, max_size=8),
+)
+
+
+def non_finite(text) -> bool:
+    try:
+        return not math.isfinite(float(text))
+    except ValueError:
+        return False
+
+
+@pytest.mark.parametrize("command", sorted(FLAG_FUZZ_BASES))
+def test_cli_flag_fuzz_bases_run(capsys, command):
+    argv, _ = FLAG_FUZZ_BASES[command]
+    assert cli.main([*argv, "--workers", "1"]) == 0, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(FLAG_FUZZ_BASES))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_cli_with_one_flag_set_to_any_value(capsys, command, data):
+    argv, extra_flags = FLAG_FUZZ_BASES[command]
+    flag = data.draw(st.sampled_from(COMMON_VALUE_FLAGS + extra_flags))
+    value = data.draw(FLAG_VALUES)
+    workers = [] if flag == "--workers" else ["--workers", "1"]
+    try:
+        code = cli.main([*argv, *workers, f"{flag}={value}"])
+    except SystemExit as exc:  # argparse rejects the command line
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3), err
+    assert "Traceback" not in err
+    if non_finite(value):  # no flag takes nan or inf
+        assert code != 0

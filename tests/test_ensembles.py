@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from logdet_equiv import (
     MATRIX_KINDS,
@@ -209,3 +211,43 @@ def test_matrix_csv_error_reporting(tmp_path):
     path.write_text("2\n1.0:0.0,2.0:0.0\n3.0:0.0,oops\n")
     with pytest.raises(ValueError, match="cell 2"):
         read_matrix_csv(path)
+
+
+def test_matrix_csv_rows_are_checked_before_the_array_is_allocated(tmp_path):
+    # 4 MB of text whose header claims a 10^6 x 10^6 matrix, 14.6 TiB as complex128.
+    path = tmp_path / "big.csv"
+    path.write_text("1000000\n" + "0:0\n" * 1_000_000)
+    with pytest.raises(ValueError, match="line 2: expected 1000000 cells, found 1"):
+        read_matrix_csv(path)
+
+
+CSV_CELLS = st.sampled_from(["0:0", "1.5:-2", "nan:1", "1e999:0", " 2 : 3 ", "x", "1:2:3", "", "4"])
+
+
+def render_csv(header, rows) -> str:
+    return "\n".join([str(header), *(",".join(row) for row in rows)])
+
+
+# Arbitrary text, ragged tables under a small header, and square ones that often parse.
+CSV_TEXT = st.one_of(
+    st.text(max_size=40),
+    st.builds(render_csv, st.integers(-1, 3), st.lists(st.lists(CSV_CELLS, max_size=4), max_size=4)),
+    st.integers(0, 3).flatmap(
+        lambda n: st.lists(st.lists(CSV_CELLS, min_size=n, max_size=n), min_size=n, max_size=n).map(
+            lambda rows: render_csv(n, rows)
+        )
+    ),
+)
+
+
+@given(text=CSV_TEXT)
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_matrix_csv_gives_a_square_complex_array_or_value_error(tmp_path, text):
+    path = tmp_path / "m.csv"
+    path.write_text(text, encoding="utf-8")
+    try:
+        a = read_matrix_csv(path)
+    except ValueError:
+        return
+    assert a.dtype == np.complex128
+    assert a.ndim == 2 and a.shape[0] == a.shape[1]

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from logdet_equiv import noise
 from logdet_equiv import (
     NOISE_KINDS,
     anti_concentration_probe,
@@ -170,6 +171,23 @@ def test_anti_concentration_needs_both_rescaling_parameters():
     with pytest.raises(ValueError):
         # delta below N^-gamma is outside the regime the probe reports on.
         anti_concentration_probe(d, "complex_ginibre", 10, [1.0], seed=0, delta=1e-6, gamma=1.0)
+
+
+@pytest.mark.parametrize(
+    "betas, rescaling, named",
+    [
+        ([1.0, -1000.0], {}, "beta = -1000.0: N^(-beta) overflows"),
+        ([-200.0], {"delta": 1e300, "gamma": -200.0}, "gamma + beta = -400.0: N^(-(gamma + beta)) overflows"),
+    ],
+)
+def test_anti_concentration_overflow_is_named_before_sampling(monkeypatch, betas, rescaling, named):
+    def no_sampling(*args):
+        raise AssertionError("sampled before the thresholds were checked")
+
+    monkeypatch.setattr(noise, "sample", no_sampling)
+    with pytest.raises(ValueError) as exc:
+        anti_concentration_probe(np.zeros((12, 12)), "complex_ginibre", 5, betas, seed=0, **rescaling)
+    assert named in str(exc.value)
 
 
 def test_anti_concentration_zero_trials_is_legal():
