@@ -75,6 +75,7 @@ from .ensembles import (
     read_matrix_csv,
     realize,
     spectrum_of,
+    svd_floor,
     write_matrix_csv,
 )
 from .experiments import (

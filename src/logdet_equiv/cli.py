@@ -11,12 +11,11 @@ verification failure (or an argparse usage error), 3 on configuration errors.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
-import numpy as np
-
-from .ensembles import _parse_complex, parse_matrix_arg, realize, spectrum_of
+from .ensembles import parse_matrix_arg, realize, spectrum_of, svd_floor
 from .equivalents import CONVENTIONS, ParameterError, bpz_equivalent, deterministic_equivalent, n_star
 from .experiments import (
     ConfigError,
@@ -55,17 +54,23 @@ def _float_or_text(text: str):
         return text
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_sampling(parser: argparse.ArgumentParser) -> None:
+    """The flags ``probe-noise`` reads: what to sample, on what matrix, how often,
+    where to write, and a config to take them from."""
     parser.add_argument("--config", help="JSON experiment config; flags override its values")
     parser.add_argument("--seed", type=int, help="64-bit root seed")
     parser.add_argument("--out", dest="output", metavar="OUT", help="output path prefix for CSV/JSON artifacts")
     parser.add_argument("--trials", type=int, help="number of noise draws")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="thread pool size (default: $LOGDET_EQUIV_WORKERS or 1); output is worker-count independent")
     parser.add_argument("--matrix", help="matrix spec: jordan | zero | diag:2x190,0x10 | bidiag:a,b | file:PATH")
     parser.add_argument("--n", type=int, help="matrix size")
     parser.add_argument("--shift", help="complex shift z; the realized matrix is z*I - A")
     parser.add_argument("--model", choices=NOISE_KINDS, help="noise model")
+
+
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    _add_sampling(parser)
+    parser.add_argument("--workers", type=int, default=None,
+                        help="thread pool size (default: $LOGDET_EQUIV_WORKERS or 1); output is worker-count independent")
     parser.add_argument("--alpha", type=_float_or_text, help="singular-value cutoff in (0,1], or 'auto'")
     parser.add_argument("--delta", type=float, help="noise amplitude")
     parser.add_argument("--gamma", type=float, help="noise-scale exponent (delta = N^-gamma in sweep mode)")
@@ -108,8 +113,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--im-max", type=float, dest="im_max")
     p.add_argument("--steps", type=int)
 
-    p = sub.add_parser("probe-noise", help="norm growth, tail, and anti-concentration probes")
-    _add_common(p)
+    # No prefix matching: --tau would otherwise pass as --tau-list.
+    p = sub.add_parser("probe-noise", help="norm growth, tail, and anti-concentration probes", allow_abbrev=False)
+    _add_sampling(p)
     p.add_argument("--n-list", dest="n_list", help="sizes for the norm-growth fit, e.g. 50,100,200")
     p.add_argument("--tau-list", dest="tau_list", help="tail parameters, e.g. 2,5,10")
     p.add_argument("--beta-list", dest="beta_list", help="anti-concentration exponents, e.g. 0.5,1,2")
@@ -133,6 +139,15 @@ def _resolve_workers(args) -> int:
 
 def _parse_number_list(text, kind=float):
     return tuple(kind(part) for part in text.split(",") if part.strip())
+
+
+def _finite_list(text, flag: str) -> tuple:
+    """A comma-separated list of finite floats; ConfigError naming ``flag`` otherwise."""
+    values = _parse_number_list(text)
+    bad = [v for v in values if not math.isfinite(v)]
+    if bad:
+        raise ConfigError(f"{flag}: expected finite numbers, got {bad[0]!r}")
+    return values
 
 
 def _given(args, names) -> dict:
@@ -191,6 +206,12 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _print_floor_flag(below: bool) -> None:
+    """A line only for a result that reads singular values under the SVD floor."""
+    if below:
+        print("below_svd_floor = True")
+
+
 def _write(records, prefix, summary) -> None:
     """Write the artifacts under ``prefix`` (if any) and list them on stdout."""
     if prefix:
@@ -205,6 +226,7 @@ def _cmd_equiv(args) -> int:
     params = config.params.resolve(singvals, spec.n)
     rhs = deterministic_equivalent(singvals, params.alpha)
     cutoff_index = n_star(singvals, params.gamma, params.eta)
+    floor = svd_floor(spec, singvals)
     _print_kv(
         [
             ("matrix", f"{spec.kind} N={spec.n}" + (f" shift={spec.shift}" if spec.shift is not None else "")),
@@ -217,6 +239,7 @@ def _cmd_equiv(args) -> int:
             ("bpz_drop_all_small", bpz_equivalent(singvals, cutoff_index, "drop_all_small")),
         ]
     )
+    _print_floor_flag(params.alpha < floor or singvals[spec.n - cutoff_index] < floor)
     return EXIT_OK
 
 
@@ -262,6 +285,7 @@ def _cmd_mc(args) -> int:
             ("error_q95", summary["error"]["q95"]),
         ]
     )
+    _print_floor_flag(summary["below_svd_floor"])
     _write(records, config.output, summary)
     return EXIT_OK
 
@@ -274,6 +298,7 @@ def _cmd_sweep(args) -> int:
         print(
             f"N={step['N']} N*={step['N_star']} delta={_fmt(step['delta'])} rhs={_fmt(step['rhs'])} "
             f"median_error={_fmt(step['error_median'])} flagged={step['flagged_infinite_rhs']}"
+            + (" below_svd_floor=True" if step["below_svd_floor"] else "")
         )
     _print_kv(
         [
@@ -298,25 +323,26 @@ def _cmd_field(args) -> int:
             ("max_abs_gap", summary["max_abs_gap"]),
         ]
     )
+    _print_floor_flag(summary["below_svd_floor"])
     _write(points, config.output, summary)
     return EXIT_OK
 
 
 def _cmd_probe_noise(args) -> int:
-    model = args.model if args.model is not None else "complex_ginibre"
-    n = args.n if args.n is not None else 200
-    trials = args.trials if args.trials is not None else 200
-    seed = args.seed if args.seed is not None else 0
     sizes = _parse_number_list(args.n_list, int) if args.n_list is not None else (50, 100, 200)
-    taus = _parse_number_list(args.tau_list) if args.tau_list is not None else (2.0, 5.0, 10.0)
-    betas = _parse_number_list(args.beta_list) if args.beta_list is not None else (0.5, 1.0, 2.0)
+    taus = _finite_list(args.tau_list, "--tau-list") if args.tau_list is not None else (2.0, 5.0, 10.0)
+    betas = _finite_list(args.beta_list, "--beta-list") if args.beta_list is not None else (0.5, 1.0, 2.0)
+    if args.config is None:
+        # Without a config the probes run 200 trials on the 200 x 200 zero matrix.
+        for name, default in (("matrix", "zero"), ("n", 200), ("trials", 200)):
+            if getattr(args, name) is None:
+                setattr(args, name, default)
+    config = _resolve_config(args, "single")
+    model, n, trials, seed = config.model, config.matrix.n, config.trials, config.seed
+    d = realize(config.matrix)
 
     growth = norm_growth_probe(model, sizes, min(trials, 50), substream_seed(seed, 0))
     markov = markov_tail_check(model, n, trials, taus, seed=substream_seed(seed, 1))
-    if args.matrix is not None:
-        d = realize(parse_matrix_arg(args.matrix, n, None if args.shift is None else _parse_complex(args.shift)))
-    else:
-        d = np.zeros((n, n), dtype=np.complex128)
     anti = anti_concentration_probe(d, model, trials, betas, substream_seed(seed, 2))
 
     print(f"model = {model}")
@@ -337,7 +363,7 @@ def _cmd_probe_noise(args) -> int:
         "markov": markov.summary,
         "anti_concentration": anti.summary,
     }
-    _write([*growth.per_n, markov, anti], args.output, summary)
+    _write([*growth.per_n, markov, anti], config.output, summary)
     return EXIT_OK if ok else EXIT_VERIFY
 
 

@@ -10,10 +10,11 @@ matrix is the argument of the log-potential ``log |det (z - A)|``.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
-from .linalg import as_matrix, svd_paired
+from .linalg import NumericalError, as_matrix
 
 __all__ = [
     "MATRIX_KINDS",
@@ -21,6 +22,7 @@ __all__ = [
     "realize",
     "known_singvals",
     "spectrum_of",
+    "svd_floor",
     "norm_cap",
     "parse_matrix_arg",
     "write_matrix_csv",
@@ -72,6 +74,8 @@ class MatrixSpec:
 
     def with_size(self, n: int) -> "MatrixSpec":
         """Same recipe at a different size (diagonal multiplicities rescale only if uniform)."""
+        if int(n) == int(self.n):
+            return self
         if self.kind == "diagonal" and len(self.diag) == 1:
             value, _ = self.diag[0]
             return replace(self, n=int(n), diag=((value, int(n)),))
@@ -125,17 +129,74 @@ def known_singvals(spec: MatrixSpec):
     return None
 
 
-def spectrum_of(spec: MatrixSpec) -> np.ndarray:
-    """Descending singular values of ``realize(spec)``.
+def _constant_bidiagonal(spec: MatrixSpec):
+    """``(|d|, |e|)`` when ``realize(spec)`` is upper bidiagonal with constant
+    diagonal ``d`` and constant superdiagonal ``e``, else None."""
+    if spec.kind == "jordan":
+        d, e = 0j, 1 + 0j
+    elif spec.kind == "bidiagonal_toeplitz":
+        d, e = complex(spec.a), complex(spec.b)
+    else:
+        return None
+    if spec.shift is not None:
+        d, e = complex(spec.shift) - d, -e
+    return abs(d), abs(e)
 
-    Closed-form values are used when the recipe provides them — important
-    where exactness matters (an exact zero stays a zero instead of coming
-    out of a numerical SVD as ~1e-16) — with a paired SVD as fallback.
+
+def _svd_values(a: np.ndarray) -> np.ndarray:
+    """Descending singular values of a finite square matrix, without vectors."""
+    try:
+        return np.linalg.svd(a, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"SVD did not converge on a {a.shape[0]}x{a.shape[1]} matrix") from exc
+
+
+@lru_cache(maxsize=256)
+def _bidiagonal_singvals(n: int, d: float, e: float) -> np.ndarray:
+    # LAPACK's Householder steps leave a real upper bidiagonal matrix as it
+    # is, and its bidiagonal SVD has high relative accuracy (Demmel & Kahan,
+    # SIAM J. Sci. Stat. Comput. 1990).
+    return _svd_values(np.diag(np.full(n, d)) + np.diag(np.full(n - 1, e), k=1))
+
+
+def spectrum_of(spec: MatrixSpec, a: np.ndarray | None = None) -> np.ndarray:
+    """Descending singular values of ``realize(spec)``, by one of three paths.
+
+    * Closed form (:func:`known_singvals`): exact, so an exact zero stays a
+      zero instead of coming out of a numerical SVD as ~1e-16.
+    * Structured: a shifted Jordan block or a (shifted) bidiagonal Toeplitz
+      matrix is upper bidiagonal with constant diagonal ``d`` and
+      superdiagonal ``e``.  A diagonal unitary scaling makes it the real
+      bidiagonal ``(|d|, |e|)`` with the same singular values, whose
+      values-only SVD is accurate to roundoff *relative to each value*, so
+      ``sum log s_j = N log |d|`` holds even where ``s_min`` is ~``|d|^N``.
+      It is memoized on ``(N, |d|, |e|)``: a field grid takes one SVD per
+      distinct ``|z - a|``.
+    * Dense (``custom``): a values-only SVD of ``a``, which must be
+      ``realize(spec)`` when given (it saves reading the file again).  Its
+      values are accurate only to about ``svd_floor(spec, s)`` in absolute
+      terms.
+
+    The result is a fresh array, the caller's to modify.
     """
     known = known_singvals(spec)
     if known is not None:
         return np.asarray(known, dtype=float)
-    return svd_paired(realize(spec)).descending
+    structured = _constant_bidiagonal(spec)
+    if structured is not None:
+        return _bidiagonal_singvals(int(spec.n), *structured).copy()
+    return _svd_values(as_matrix(realize(spec) if a is None else a))
+
+
+def svd_floor(spec: MatrixSpec, singvals) -> float:
+    """Absolute accuracy of ``spectrum_of(spec)``: ``N * eps * s_max`` for a
+    dense SVD (``custom``), 0.0 for closed-form and structured spectra.
+
+    A result that reads a singular value below this floor reads roundoff.
+    """
+    if spec.kind != "custom":  # the one kind with neither a closed form nor a structure
+        return 0.0
+    return int(spec.n) * float(np.finfo(float).eps) * float(singvals[0])
 
 
 def norm_cap(spec: MatrixSpec) -> float:

@@ -33,7 +33,7 @@ from sys import float_info
 
 import numpy as np
 
-from .ensembles import MatrixSpec, _parse_complex, realize, spectrum_of
+from .ensembles import MatrixSpec, _parse_complex, realize, spectrum_of, svd_floor
 from .equivalents import (
     CONVENTIONS,
     EquivalenceParams,
@@ -337,7 +337,7 @@ def _resolve_single(config: ExperimentConfig, driver: str):
         raise ConfigError(f"{driver} needs mode 'single', got {config.mode!r}")
     a = realize(config.matrix)
     n = int(config.matrix.n)
-    singvals = spectrum_of(config.matrix)
+    singvals = spectrum_of(config.matrix, a)
     try:
         params = config.params.resolve(singvals, n)
     except ParameterError as exc:
@@ -354,7 +354,9 @@ def run_theorem2(config: ExperimentConfig, workers: int = 1, diagnostics: bool =
     is measured only when ``config.probe_eps`` is set (None = unavailable,
     making the full floor unavailable too).  ``diagnostics`` fills the
     records' ``norm_g``, ``s_min_perturbed`` and ``contraction`` (NaN
-    otherwise); the summary does not depend on it.
+    otherwise); the summary does not depend on it.  ``below_svd_floor`` is
+    true when ``alpha`` lies under :func:`~logdet_equiv.ensembles.svd_floor`,
+    so that ``M`` and ``rhs`` read roundoff of a dense SVD.
     """
     a, n, singvals, params = _resolve_single(config, "run_theorem2")
     if params.delta > 0:
@@ -400,6 +402,7 @@ def run_theorem2(config: ExperimentConfig, workers: int = 1, diagnostics: bool =
         "C": params.C,
         "outside_theorem": params.outside_theorem(),
         "rhs": rhs,
+        "below_svd_floor": params.alpha < svd_floor(config.matrix, singvals),
         "error_bound": budget.error_bound,
         "success_frequency": float(np.mean([r.within_budget for r in records])),
         "floor_partial": 1.0 - 1.0 / params.tau,
@@ -426,7 +429,9 @@ def run_theorem1(
     ``diagnostics`` is as in :func:`run_theorem2`.
     Sweep steps whose right side is ``-inf`` (possible under the inclusive
     convention on exactly singular spectra) are recorded and flagged, and
-    excluded from the cross-N error trend with an explicit count.
+    excluded from the cross-N error trend with an explicit count.  A step's
+    ``below_svd_floor`` is true when the inclusive sum reads a singular value
+    under :func:`~logdet_equiv.ensembles.svd_floor`.
     """
     if config.mode != "sweep":
         raise ConfigError(f"run_theorem1 needs mode 'sweep', got {config.mode!r}")
@@ -448,7 +453,7 @@ def run_theorem1(
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         a = realize(spec_n)
-        singvals = spectrum_of(spec_n)
+        singvals = spectrum_of(spec_n, a)
         delta = float(n) ** (-gamma)
         cutoff_index = n_star(singvals, gamma, eta)
         rhs = bpz_equivalent(singvals, cutoff_index, convention)
@@ -468,6 +473,8 @@ def run_theorem1(
                 "rhs_inclusive": rhs_by_convention["inclusive"],
                 "rhs_drop_all_small": rhs_by_convention["drop_all_small"],
                 "flagged_infinite_rhs": flagged,
+                # s[n - N*] is the last value the inclusive sum reads.
+                "below_svd_floor": bool(singvals[n - cutoff_index] < svd_floor(spec_n, singvals)),
                 "error_median": None if flagged else float(np.median(step_errors)),
                 "error": _quantile_block(step_errors),
             }
@@ -577,6 +584,8 @@ def log_potential_field(config: ExperimentConfig, workers: int = 1):
     For each grid point ``z`` the matrix ``z I - A`` gets its own cutoff
     resolution (fresh ``alpha`` when auto) and its own noise substreams, so
     one grid point reproduces a single-mode run on the shifted matrix.
+    ``below_svd_floor`` is true when any grid point's ``alpha`` lies under the
+    floor of its spectrum, as in :func:`run_theorem2`.
     """
     if config.mode != "field":
         raise ConfigError(f"log_potential_field needs mode 'field', got {config.mode!r}")
@@ -586,14 +595,17 @@ def log_potential_field(config: ExperimentConfig, workers: int = 1):
     delta = config.params.delta
     points = config.z_grid.points()
     field_points: list[FieldPoint] = []
+    below_floor = False
     for p, z in enumerate(points):
         a_z = z * eye - base
-        singvals = spectrum_of(replace(config.matrix, shift=z))
+        spec_z = replace(config.matrix, shift=z)
+        singvals = spectrum_of(spec_z, a_z)
         try:
             params = config.params.resolve(singvals, n)
         except (ParameterError, ConfigError) as exc:
             raise ConfigError(f"grid point {z}: {exc}") from exc
         rhs = deterministic_equivalent(singvals, params.alpha)
+        below_floor = below_floor or params.alpha < svd_floor(spec_z, singvals)
         values = np.array(_map_indexed(lambda k: _trial(config, a_z, delta, p, k)[1], config.trials, workers))
         field_points.append(
             FieldPoint(
@@ -616,6 +628,7 @@ def log_potential_field(config: ExperimentConfig, workers: int = 1):
         "steps": config.z_grid.steps,
         "mean_abs_gap": float(np.mean(gaps)) if gaps else None,
         "max_abs_gap": float(np.max(gaps)) if gaps else None,
+        "below_svd_floor": below_floor,
         "config": config_to_dict(config),
     }
     return field_points, summary

@@ -17,6 +17,7 @@ from logdet_equiv import (
     realize,
     sample,
     smallest_singular_value,
+    write_matrix_csv,
 )
 
 SUBCOMMANDS = ("equiv", "grushin-verify", "mc", "sweep", "field", "probe-noise")
@@ -506,3 +507,128 @@ def test_cli_with_one_flag_set_to_any_value(capsys, command, data):
     assert "Traceback" not in err
     if non_finite(value):  # no flag takes nan or inf
         assert code != 0
+
+
+# ---------------------------------------------------------------------------
+# structured spectra and the SVD floor on the command line
+
+LOG_ABS_Z = math.log(abs(0.3 + 0.2j))  # log|det(zI - J)|/N for z = 0.3+0.2j, at any N
+
+
+def test_sweep_on_a_shifted_jordan_block_reports_the_exact_inclusive_sum(tmp_path, capsys):
+    argv = ["sweep", "--matrix", "jordan", "--n", "100", "--shift", "0.3+0.2j", "--n-list", "100,200",
+            "--gamma", "1", "--convention", "inclusive", "--trials", "2", "--out", str(tmp_path / "s")]
+    assert cli.main(argv) == 0
+    assert "below_svd_floor" not in capsys.readouterr().out
+    per_n = json.loads((tmp_path / "s_summary.json").read_text())["per_N"]
+    assert [step["N"] for step in per_n] == [100, 200]
+    for step in per_n:
+        assert abs(step["rhs"] - LOG_ABS_Z) <= 1e-12
+        assert step["below_svd_floor"] is False
+
+
+def test_equiv_inclusive_sum_on_a_shifted_jordan_block(capsys):
+    assert cli.main(["equiv", "--matrix", "jordan", "--n", "200", "--shift", "0.3+0.2j"]) == 0
+    out = capsys.readouterr().out
+    value = float(out.split("bpz_inclusive = ")[1].split("\n")[0])
+    assert abs(value - LOG_ABS_Z) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "command, extra, line",
+    [
+        ("mc", {}, "below_svd_floor = True\n"),
+        ("equiv", {}, "below_svd_floor = True\n"),
+        ("sweep", {"mode": "sweep", "N_list": [40], "convention": "inclusive", "params": {"gamma": 1.0}},
+         "flagged=False below_svd_floor=True\n"),
+        ("field", {"mode": "field", "z_grid": {"re_min": 0.3, "re_max": 0.3, "im_min": 0.2, "im_max": 0.2,
+                                               "steps": 1}}, "below_svd_floor = True\n"),
+    ],
+)
+def test_results_under_the_svd_floor_are_flagged_on_stdout(tmp_path, capsys, command, extra, line):
+    n, shift = 40, 0.3 + 0.2j
+    path = tmp_path / "m.csv"
+    field = command == "field"
+    write_matrix_csv(realize(parse_matrix_arg("jordan", n, None if field else shift)), path)
+    # alpha far under the floor N*eps*s_max of a dense SVD at N = 40; L keeps it admissible.
+    params = {"alpha": 1e-15, "L": 20.0, "delta": 0.0, **extra.get("params", {})}
+    payload = {
+        "matrix": {"kind": "custom", "n": n, "path": str(path)},
+        "model": "complex_ginibre",
+        "trials": 2,
+        **extra,
+        "params": params,
+    }
+    dense = tmp_path / "dense.json"
+    dense.write_text(json.dumps(payload))
+    assert cli.main([command, "--config", str(dense)]) == 0
+    assert line in capsys.readouterr().out
+    # The same matrix with a structured spectrum reads no roundoff.
+    payload["matrix"] = {"kind": "jordan", "n": n} if field else {"kind": "jordan", "n": n, "shift": [0.3, 0.2]}
+    structured = tmp_path / "structured.json"
+    structured.write_text(json.dumps(payload))
+    assert cli.main([command, "--config", str(structured)]) == 0
+    assert "below_svd_floor" not in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# probe-noise takes only the flags it reads, and finite lists
+
+PROBE_BASE = ["probe-noise", "--n", "12", "--trials", "100", "--n-list", "4,8"]
+
+
+@pytest.mark.parametrize(
+    "flag",
+    ["--alpha=0.5", "--delta=nan", "--gamma=1", "--eta=1", "--tau=1", "--nu-target=0.5", "--headroom=0.1",
+     "--convention=inclusive", "--workers=1"],
+)
+def test_probe_noise_rejects_flags_it_does_not_read(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*PROBE_BASE, flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_probe_noise_with_an_ignored_flag_and_a_missing_config_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["probe-noise", "--config", "/no/such.json", "--delta", "nan", "--n", "12", "--trials", "100",
+                  "--n-list", "4,8"])
+    assert exc.value.code == 2
+
+
+def test_probe_noise_reads_its_config(tmp_path, capsys):
+    config = tmp_path / "probe.json"
+    config.write_text(json.dumps({"matrix": {"kind": "jordan", "n": 12, "shift": [0.5, 0.0]},
+                                  "model": "real_gaussian", "trials": 100, "seed": 9}))
+    lists = ["--n-list", "4,8", "--tau-list", "2", "--beta-list", "1"]
+    assert cli.main(["probe-noise", "--config", str(config), *lists]) == 0
+    from_config = capsys.readouterr().out
+    flags = ["--matrix", "jordan", "--n", "12", "--shift", "0.5", "--model", "real_gaussian", "--trials", "100",
+             "--seed", "9"]
+    assert cli.main(["probe-noise", *flags, *lists]) == 0
+    assert capsys.readouterr().out == from_config
+    assert "model = real_gaussian" in from_config
+    assert cli.main(["probe-noise", "--config", "/no/such.json", *lists]) == 3
+    assert "config file not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["--tau-list", "nan"], "--tau-list: expected finite numbers, got nan"),
+        (["--tau-list", "2,inf"], "--tau-list: expected finite numbers, got inf"),
+        (["--beta-list", "nan"], "--beta-list: expected finite numbers, got nan"),
+        (["--beta-list=1,-inf"], "--beta-list: expected finite numbers, got -inf"),
+        (["--shift", "nan"], "config.matrix.shift: expected complex"),
+    ],
+)
+def test_probe_noise_rejects_non_finite_values_before_sampling(monkeypatch, capsys, argv, named):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled")
+
+    for probe in ("norm_growth_probe", "markov_tail_check", "anti_concentration_probe"):
+        monkeypatch.setattr(cli, probe, no_sampling)
+    assert cli.main([*PROBE_BASE, *argv]) == 3
+    err = capsys.readouterr().err
+    assert f"configuration error: {named}" in err
+    assert "Traceback" not in err

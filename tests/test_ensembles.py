@@ -15,9 +15,11 @@ from logdet_equiv import (
     read_matrix_csv,
     realize,
     spectrum_of,
+    svd_floor,
     svd_paired,
     write_matrix_csv,
 )
+from logdet_equiv import ensembles
 
 from helpers import gaussian_matrix
 
@@ -251,3 +253,89 @@ def test_matrix_csv_gives_a_square_complex_array_or_value_error(tmp_path, text):
         return
     assert a.dtype == np.complex128
     assert a.ndim == 2 and a.shape[0] == a.shape[1]
+
+
+# ---------------------------------------------------------------------------
+# structured spectra: upper bidiagonal with constant diagonal d and superdiagonal e
+
+
+# (kind, a, b, shift) with |d| < 1, = 1 and > 1 for shifted Jordan and bidiagonal Toeplitz blocks.
+BIDIAGONAL_CASES = {
+    "jordan-0.6": ("jordan", 0j, 1 + 0j, 0.36 + 0.48j),
+    "jordan-1": ("jordan", 0j, 1 + 0j, -1j),
+    "jordan-1.3": ("jordan", 0j, 1 + 0j, 1.2 - 0.5j),
+    "bidiag-0.5": ("bidiagonal_toeplitz", 0.5j, 2 + 0j, None),
+    "bidiag-1": ("bidiagonal_toeplitz", 0.5 + 0j, 1 - 1j, 0.5 + 1j),
+    "bidiag-1.8": ("bidiagonal_toeplitz", 1 + 0j, 0.7 + 0j, -0.5 + 1j),
+}
+
+
+def bidiagonal_case(name, n):
+    """The spec and its constant diagonal ``d`` (``a``, or ``z - a`` when shifted)."""
+    kind, a, b, shift = BIDIAGONAL_CASES[name]
+    spec = MatrixSpec(kind=kind, n=n, a=a, b=b, shift=shift)
+    return spec, a if shift is None else shift - a
+
+
+@pytest.mark.parametrize("n", [100, 200])
+@pytest.mark.parametrize("name", sorted(BIDIAGONAL_CASES))
+def test_structured_spectrum_product_is_exact(name, n):
+    # det of an upper bidiagonal matrix is d^N, so sum log s_j = N log|d|,
+    # which a dense SVD misses by far once s_min ~ |d|^N sinks below N*eps*||A||.
+    spec, d = bidiagonal_case(name, n)
+    s = spectrum_of(spec)
+    want = n * np.log(abs(d))
+    assert abs(float(np.sum(np.log(s))) - want) <= 1e-12 * max(1.0, abs(want))
+    assert np.all(np.diff(s) <= 0)
+
+
+@pytest.mark.parametrize("name", sorted(BIDIAGONAL_CASES))
+def test_structured_spectrum_agrees_with_dense_svd_above_its_floor(name):
+    spec, _ = bidiagonal_case(name, 60)
+    s = spectrum_of(spec)
+    dense = np.linalg.svd(realize(spec), compute_uv=False)
+    np.testing.assert_allclose(s, dense, rtol=0, atol=60 * np.finfo(float).eps * dense[0] * 10)
+
+
+def test_structured_spectrum_is_memoized_on_magnitudes():
+    ensembles._bidiagonal_singvals.cache_clear()
+    z = 0.3 + 0.2j
+    first = spectrum_of(MatrixSpec(kind="jordan", n=50, shift=z))
+    for w in (z.conjugate(), -z, 1j * z):
+        np.testing.assert_array_equal(spectrum_of(MatrixSpec(kind="jordan", n=50, shift=w)), first)
+    info = ensembles._bidiagonal_singvals.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        MatrixSpec(kind="jordan", n=30, shift=0.5 + 0.1j),
+        MatrixSpec(kind="bidiagonal_toeplitz", n=30, a=2.0, b=-1j),
+        MatrixSpec(kind="jordan", n=30),
+    ],
+)
+def test_mutating_a_spectrum_does_not_change_the_next(spec):
+    before = spectrum_of(spec).copy()
+    returned = spectrum_of(spec)
+    returned[:] = -1.0
+    np.testing.assert_array_equal(spectrum_of(spec), before)
+
+
+def test_dense_spectrum_uses_the_given_matrix(tmp_path):
+    # The file does not exist: the values come from the array in hand.
+    a = gaussian_matrix(5, seed=16)
+    spec = MatrixSpec(kind="custom", n=5, path=str(tmp_path / "absent.csv"))
+    np.testing.assert_array_equal(spectrum_of(spec, a), np.linalg.svd(a, compute_uv=False))
+    with pytest.raises(FileNotFoundError):
+        spectrum_of(spec)
+
+
+def test_svd_floor_is_zero_unless_the_spectrum_is_dense(tmp_path):
+    a = gaussian_matrix(5, seed=17)
+    custom = MatrixSpec(kind="custom", n=5, path=str(tmp_path / "m.csv"))
+    s = spectrum_of(custom, a)
+    assert svd_floor(custom, s) == 5 * np.finfo(float).eps * s[0]
+    for spec in (MatrixSpec(kind="jordan", n=5, shift=0.5), MatrixSpec(kind="bidiagonal_toeplitz", n=5),
+                 MatrixSpec(kind="zero", n=5), MatrixSpec(kind="diagonal", n=5, diag=((2.0, 5),))):
+        assert svd_floor(spec, spectrum_of(spec)) == 0.0

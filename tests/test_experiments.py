@@ -26,10 +26,14 @@ from logdet_equiv import (
     run_grushin_suite,
     run_theorem1,
     run_theorem2,
+    read_matrix_csv,
+    realize,
     substream_seed,
     write_config,
+    write_matrix_csv,
     write_results,
 )
+from logdet_equiv import ensembles
 from logdet_equiv.experiments import FIELD_COLUMNS, PROBE_COLUMNS, RECORD_COLUMNS
 from logdet_equiv.noise import markov_tail_check
 
@@ -545,3 +549,63 @@ def test_config_from_dict_one_replaced_value(data):
     except ConfigError:
         return
     assert config_from_dict(config_to_dict(config)) == config
+
+
+# ---------------------------------------------------------------------------
+# structured spectra, dense spectra and the SVD floor in the drivers
+
+Z = 0.3 + 0.2j
+# alpha far under the floor N*eps*s_max of a dense SVD at N = 40; L keeps it admissible.
+BELOW_FLOOR = ParamConfig(alpha=1e-15, L=20.0, delta=0.0)
+
+
+def custom_jordan(tmp_path, n, shift=None):
+    """A (shifted) Jordan block saved as a custom CSV matrix, so its spectrum is a dense SVD."""
+    path = tmp_path / f"jordan{n}.csv"
+    write_matrix_csv(realize(MatrixSpec(kind="jordan", n=n, shift=shift)), path)
+    return MatrixSpec(kind="custom", n=n, path=str(path))
+
+
+@pytest.fixture
+def csv_reads(monkeypatch):
+    """Paths of every custom matrix file read from now on."""
+    reads = []
+
+    def counting(path):
+        reads.append(path)
+        return read_matrix_csv(path)
+
+    monkeypatch.setattr(ensembles, "read_matrix_csv", counting)
+    return reads
+
+
+def test_single_run_flags_alpha_under_the_svd_floor(tmp_path, csv_reads):
+    dense = single_config(matrix=custom_jordan(tmp_path, 40, Z), params=BELOW_FLOOR, trials=2)
+    assert run_theorem2(dense)[1]["below_svd_floor"] is True
+    assert len(csv_reads) == 1  # the spectrum comes from the realized matrix
+    above = replace(dense, params=replace(BELOW_FLOOR, alpha=0.5))
+    assert run_theorem2(above)[1]["below_svd_floor"] is False
+    structured = replace(dense, matrix=MatrixSpec(kind="jordan", n=40, shift=Z))
+    assert run_theorem2(structured)[1]["below_svd_floor"] is False
+
+
+def test_sweep_flags_an_inclusive_sum_under_the_svd_floor(tmp_path):
+    # N* = 1 here, so the inclusive sum reads s_min ~ |z|^N.
+    dense = sweep_config(matrix=custom_jordan(tmp_path, 40, Z), n_list=(40,), convention="inclusive", trials=2)
+    assert run_theorem1(dense)[1]["per_N"][0]["below_svd_floor"] is True
+    _, summary = run_theorem1(replace(dense, matrix=MatrixSpec(kind="jordan", n=40, shift=Z)))
+    step = summary["per_N"][0]
+    assert step["below_svd_floor"] is False
+    assert abs(step["rhs"] - math.log(abs(Z))) <= 1e-12  # log|det(zI - J)|/N = log|z|
+
+
+def test_field_flags_the_svd_floor_and_reads_a_custom_file_once(tmp_path, csv_reads):
+    grid = ZGrid(re_min=0.3, re_max=0.6, im_min=0.2, im_max=0.5, steps=2)
+    dense = field_config(matrix=custom_jordan(tmp_path, 40), params=BELOW_FLOOR, z_grid=grid, trials=2)
+    points, summary = log_potential_field(dense)
+    assert len(points) == 4 and len(csv_reads) == 1
+    assert summary["below_svd_floor"] is True
+    above = replace(dense, params=replace(BELOW_FLOOR, alpha=0.5))
+    assert log_potential_field(above)[1]["below_svd_floor"] is False
+    _, summary = log_potential_field(replace(dense, matrix=MatrixSpec(kind="jordan", n=40)))
+    assert summary["below_svd_floor"] is False
