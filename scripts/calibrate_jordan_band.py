@@ -14,17 +14,16 @@ import math
 
 import numpy as np
 
-from logdet_equiv import MatrixSpec, log_abs_det, realize, sample, substream_seed
+from logdet_equiv import ExperimentConfig, MatrixSpec, realize
+from logdet_equiv.experiments import _trial
 
 
 def x_samples(n: int, delta: float, trials: int, seed: int) -> np.ndarray:
-    a = realize(MatrixSpec(kind="jordan", n=n))
-    out = np.empty(trials)
-    for k in range(trials):
-        g = sample("complex_ginibre", n, substream_seed(seed, n, k))
-        lhs = log_abs_det(a + delta * g) / n
-        out[k] = n * lhs - math.log(delta)
-    return out
+    """X for ``trials`` complex Ginibre draws on the N x N Jordan block; trial k
+    is the harness's trial k of work unit N (substream ``(seed, N, k)``)."""
+    config = ExperimentConfig(matrix=MatrixSpec(kind="jordan", n=n), model="complex_ginibre", seed=seed)
+    a = realize(config.matrix)
+    return np.array([n * _trial(config, a, delta, n, k)[1] - math.log(delta) for k in range(trials)])
 
 
 def main() -> None:

@@ -10,11 +10,11 @@ near the ceiling.
 """
 
 import argparse
+from dataclasses import replace
 
 import numpy as np
 
-from logdet_equiv import admissible_delta_range, read_config, run_theorem2
-from dataclasses import replace
+from logdet_equiv import admissible_delta_range, read_config, run_theorem2, spectrum_of
 
 
 def main() -> None:
@@ -27,8 +27,6 @@ def main() -> None:
 
     config = replace(read_config(args.config), trials=args.trials)
     # Resolve once just to locate the window; each sweep point re-resolves.
-    from logdet_equiv import spectrum_of
-
     singvals = spectrum_of(config.matrix)
     params = config.params.resolve(singvals, config.matrix.n)
     lo, hi = admissible_delta_range(

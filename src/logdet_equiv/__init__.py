@@ -17,6 +17,7 @@ from .linalg import (
     as_matrix,
     log_abs_det,
     operator_norm,
+    singular_values,
     smallest_singular_value,
     svd_paired,
     svd_tolerance,

@@ -16,7 +16,7 @@ import os
 import sys
 
 from .ensembles import parse_matrix_arg, realize, spectrum_of, svd_floor
-from .equivalents import CONVENTIONS, ParameterError, bpz_equivalent, deterministic_equivalent, n_star
+from .equivalents import CONVENTIONS, bpz_equivalent, deterministic_equivalent, n_star
 from .experiments import (
     ConfigError,
     ExperimentConfig,
@@ -29,6 +29,7 @@ from .experiments import (
     run_theorem2,
     write_results,
 )
+from .linalg import NumericalError
 from .noise import NOISE_KINDS, anti_concentration_probe, markov_tail_check, norm_growth_probe, substream_seed
 
 EXIT_OK = 0
@@ -39,10 +40,6 @@ EXIT_CONFIG = 3
 TOP_FLAGS = ("model", "trials", "seed", "output", "convention", "probe_eps")
 PARAM_FLAGS = ("alpha", "delta", "gamma", "eta", "tau", "nu_target", "headroom")
 GRID_FLAGS = ("re_min", "re_max", "im_min", "im_max", "steps")
-DIAGNOSTICS_HELP = (
-    "also fill the records' norm_G, s_min_perturbed and contraction columns "
-    "(two SVDs per trial; without the flag they read nan)"
-)
 
 
 def _float_or_text(text: str):
@@ -54,31 +51,44 @@ def _float_or_text(text: str):
         return text
 
 
-def _add_sampling(parser: argparse.ArgumentParser) -> None:
-    """The flags ``probe-noise`` reads: what to sample, on what matrix, how often,
-    where to write, and a config to take them from."""
-    parser.add_argument("--config", help="JSON experiment config; flags override its values")
-    parser.add_argument("--seed", type=int, help="64-bit root seed")
-    parser.add_argument("--out", dest="output", metavar="OUT", help="output path prefix for CSV/JSON artifacts")
-    parser.add_argument("--trials", type=int, help="number of noise draws")
-    parser.add_argument("--matrix", help="matrix spec: jordan | zero | diag:2x190,0x10 | bidiag:a,b | file:PATH")
-    parser.add_argument("--n", type=int, help="matrix size")
-    parser.add_argument("--shift", help="complex shift z; the realized matrix is z*I - A")
-    parser.add_argument("--model", choices=NOISE_KINDS, help="noise model")
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    _add_sampling(parser)
-    parser.add_argument("--workers", type=int, default=None,
-                        help="thread pool size (default: $LOGDET_EQUIV_WORKERS or 1); output is worker-count independent")
-    parser.add_argument("--alpha", type=_float_or_text, help="singular-value cutoff in (0,1], or 'auto'")
-    parser.add_argument("--delta", type=float, help="noise amplitude")
-    parser.add_argument("--gamma", type=float, help="noise-scale exponent (delta = N^-gamma in sweep mode)")
-    parser.add_argument("--eta", type=float, help="cutoff-index exponent")
-    parser.add_argument("--tau", type=float, help="tail parameter")
-    parser.add_argument("--nu-target", dest="nu_target", type=float, help="deflation-rate budget for auto alpha")
-    parser.add_argument("--headroom", type=float, help="fraction of the admissible delta ceiling to allow")
-    parser.add_argument("--convention", choices=CONVENTIONS, help="cutoff-sum index convention")
+# Every flag and its argparse keywords; _COMMANDS lists the flags each subcommand takes.
+_FLAGS = {
+    "config": dict(help="JSON experiment config; flags override its values"),
+    "seed": dict(type=int, help="64-bit root seed"),
+    "out": dict(dest="output", metavar="OUT", help="output path prefix for CSV/JSON artifacts"),
+    "trials": dict(type=int, help="number of noise draws"),
+    "matrix": dict(help="matrix spec: jordan | zero | diag:2x190,0x10 | bidiag:a,b | file:PATH"),
+    "n": dict(type=int, help="matrix size"),
+    "shift": dict(help="complex shift z; the realized matrix is z*I - A"),
+    "model": dict(choices=NOISE_KINDS, help="noise model"),
+    "workers": dict(
+        type=int, help="thread pool size (default: $LOGDET_EQUIV_WORKERS or 1); output is worker-count independent"
+    ),
+    "alpha": dict(type=_float_or_text, help="singular-value cutoff in (0,1], or 'auto'"),
+    "delta": dict(type=float, help="noise amplitude"),
+    "gamma": dict(type=float, help="noise-scale exponent (delta = N^-gamma in sweep mode)"),
+    "eta": dict(type=float, help="cutoff-index exponent"),
+    "tau": dict(type=float, help="tail parameter"),
+    "nu-target": dict(type=float, help="deflation-rate budget for auto alpha"),
+    "headroom": dict(type=float, help="fraction of the admissible delta ceiling to allow"),
+    "convention": dict(choices=CONVENTIONS, help="cutoff-sum index convention"),
+    "probe-eps": dict(
+        action="store_true", default=None, help="measure the anti-concentration failure rate alongside the run"
+    ),
+    "n-list": dict(help="comma-separated ascending sizes, e.g. 100,200,400"),
+    "diagnostics": dict(
+        action="store_true",
+        help="also fill the records' norm_G, s_min_perturbed and contraction columns "
+        "(two SVDs per trial; without the flag they read nan)",
+    ),
+    "re-min": dict(type=float),
+    "re-max": dict(type=float),
+    "im-min": dict(type=float),
+    "im-max": dict(type=float),
+    "steps": dict(type=int),
+    "tau-list": dict(help="tail parameters, e.g. 2,5,10"),
+    "beta-list": dict(help="anti-concentration exponents, e.g. 0.5,1,2"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,39 +97,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Deterministic equivalents for log-determinants of noisily perturbed matrices.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("equiv", help="print cutoff sums and parameters for a matrix, no sampling")
-    _add_common(p)
-
-    p = sub.add_parser("grushin-verify", help="run the block-algebra identity suite")
-    _add_common(p)
-
-    p = sub.add_parser("mc", help="single-matrix Monte Carlo against the cutoff sum")
-    _add_common(p)
-    p.add_argument("--probe-eps", action="store_true", default=None,
-                   help="measure the anti-concentration failure rate alongside the run")
-    p.add_argument("--diagnostics", action="store_true", help=DIAGNOSTICS_HELP)
-
-    p = sub.add_parser("sweep", help="size sweep with delta = N^-gamma")
-    _add_common(p)
-    p.add_argument("--n-list", dest="n_list", help="comma-separated ascending sizes, e.g. 100,200,400")
-    p.add_argument("--diagnostics", action="store_true", help=DIAGNOSTICS_HELP)
-
-    p = sub.add_parser("field", help="log-potential field over a z-grid")
-    _add_common(p)
-    p.add_argument("--re-min", type=float, dest="re_min")
-    p.add_argument("--re-max", type=float, dest="re_max")
-    p.add_argument("--im-min", type=float, dest="im_min")
-    p.add_argument("--im-max", type=float, dest="im_max")
-    p.add_argument("--steps", type=int)
-
-    # No prefix matching: --tau would otherwise pass as --tau-list.
-    p = sub.add_parser("probe-noise", help="norm growth, tail, and anti-concentration probes", allow_abbrev=False)
-    _add_sampling(p)
-    p.add_argument("--n-list", dest="n_list", help="sizes for the norm-growth fit, e.g. 50,100,200")
-    p.add_argument("--tau-list", dest="tau_list", help="tail parameters, e.g. 2,5,10")
-    p.add_argument("--beta-list", dest="beta_list", help="anti-concentration exponents, e.g. 0.5,1,2")
-
+    for name, (_, help_text, flags) in _COMMANDS.items():
+        # No prefix matching: --diag is not --diagnostics, nor --tau probe-noise's --tau-list.
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        for flag in flags.split():
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
 
 
@@ -193,9 +175,13 @@ def _resolve_config(args, mode: str) -> ExperimentConfig:
     return config_from_dict(d)
 
 
-def _print_kv(pairs) -> None:
-    for key, value in pairs:
-        print(f"{key} = {_fmt(value)}")
+def _print_kv(summary: dict, keys) -> None:
+    """A ``key = value`` line for each of ``keys``, then ``below_svd_floor = True``
+    only for a result that reads singular values under the SVD floor."""
+    for key in keys:
+        print(f"{key} = {_fmt(summary[key])}")
+    if summary.get("below_svd_floor"):
+        print("below_svd_floor = True")
 
 
 def _fmt(value) -> str:
@@ -204,12 +190,6 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-def _print_floor_flag(below: bool) -> None:
-    """A line only for a result that reads singular values under the SVD floor."""
-    if below:
-        print("below_svd_floor = True")
 
 
 def _write(records, prefix, summary) -> None:
@@ -221,41 +201,31 @@ def _write(records, prefix, summary) -> None:
 
 def _cmd_equiv(args) -> int:
     config = _resolve_config(args, "single")
+    _resolve_workers(args)  # checked like any subcommand's, though nothing here samples
     spec = config.matrix
     singvals = spectrum_of(spec)
     params = config.params.resolve(singvals, spec.n)
-    rhs = deterministic_equivalent(singvals, params.alpha)
     cutoff_index = n_star(singvals, params.gamma, params.eta)
     floor = svd_floor(spec, singvals)
-    _print_kv(
-        [
-            ("matrix", f"{spec.kind} N={spec.n}" + (f" shift={spec.shift}" if spec.shift is not None else "")),
-            ("alpha", params.alpha),
-            ("M", params.m),
-            ("nu_N", params.nu_n),
-            ("rhs", rhs),
-            (f"N_star(gamma={params.gamma}, eta={params.eta})", cutoff_index),
-            ("bpz_inclusive", bpz_equivalent(singvals, cutoff_index, "inclusive")),
-            ("bpz_drop_all_small", bpz_equivalent(singvals, cutoff_index, "drop_all_small")),
-        ]
-    )
-    _print_floor_flag(params.alpha < floor or singvals[spec.n - cutoff_index] < floor)
+    shown = {
+        "matrix": f"{spec.kind} N={spec.n}" + (f" shift={spec.shift}" if spec.shift is not None else ""),
+        "alpha": params.alpha,
+        "M": params.m,
+        "nu_N": params.nu_n,
+        "rhs": deterministic_equivalent(singvals, params.alpha),
+        f"N_star(gamma={params.gamma}, eta={params.eta})": cutoff_index,
+        "bpz_inclusive": bpz_equivalent(singvals, cutoff_index, "inclusive"),
+        "bpz_drop_all_small": bpz_equivalent(singvals, cutoff_index, "drop_all_small"),
+    }
+    below = params.alpha < floor or singvals[spec.n - cutoff_index] < floor
+    _print_kv({**shown, "below_svd_floor": below}, shown)
     return EXIT_OK
 
 
 def _cmd_grushin_verify(args) -> int:
     config = _resolve_config(args, "single")
     checks, summary = run_grushin_suite(config, workers=_resolve_workers(args))
-    _print_kv(
-        [
-            ("checks_total", summary["checks_total"]),
-            ("checks_failed", summary["checks_failed"]),
-            ("alpha", summary["alpha"]),
-            ("M", summary["M"]),
-            ("delta", summary["delta"]),
-            ("ok", summary["ok"]),
-        ]
-    )
+    _print_kv(summary, ("checks_total", "checks_failed", "alpha", "M", "delta", "ok"))
     _write(checks, config.output, summary)
     if not summary["ok"]:
         for failing in summary["failing"]:
@@ -267,25 +237,10 @@ def _cmd_grushin_verify(args) -> int:
 def _cmd_mc(args) -> int:
     config = _resolve_config(args, "single")
     records, summary = run_theorem2(config, workers=_resolve_workers(args), diagnostics=args.diagnostics)
-    _print_kv(
-        [
-            ("N", summary["N"]),
-            ("model", summary["model"]),
-            ("trials", summary["trials"]),
-            ("alpha", summary["alpha"]),
-            ("M", summary["M"]),
-            ("delta", summary["delta"]),
-            ("outside_theorem", summary["outside_theorem"]),
-            ("rhs", summary["rhs"]),
-            ("error_bound", summary["error_bound"]),
-            ("success_frequency", summary["success_frequency"]),
-            ("floor_partial", summary["floor_partial"]),
-            ("eps_hat", summary["eps_hat"]),
-            ("error_median", summary["error"]["median"]),
-            ("error_q95", summary["error"]["q95"]),
-        ]
-    )
-    _print_floor_flag(summary["below_svd_floor"])
+    error = {"error_median": summary["error"]["median"], "error_q95": summary["error"]["q95"]}
+    keys = ("N", "model", "trials", "alpha", "M", "delta", "outside_theorem", "rhs", "error_bound",
+            "success_frequency", "floor_partial", "eps_hat", *error)
+    _print_kv({**summary, **error}, keys)
     _write(records, config.output, summary)
     return EXIT_OK
 
@@ -300,12 +255,7 @@ def _cmd_sweep(args) -> int:
             f"median_error={_fmt(step['error_median'])} flagged={step['flagged_infinite_rhs']}"
             + (" below_svd_floor=True" if step["below_svd_floor"] else "")
         )
-    _print_kv(
-        [
-            ("flagged_steps", summary["flagged_steps"]),
-            ("medians_strictly_decreasing", summary["medians_strictly_decreasing"]),
-        ]
-    )
+    _print_kv(summary, ("flagged_steps", "medians_strictly_decreasing"))
     _write(records, config.output, summary)
     return EXIT_OK
 
@@ -313,17 +263,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_field(args) -> int:
     config = _resolve_config(args, "field")
     points, summary = log_potential_field(config, workers=_resolve_workers(args))
-    _print_kv(
-        [
-            ("N", summary["N"]),
-            ("points", summary["points"]),
-            ("trials", summary["trials"]),
-            ("delta", summary["delta"]),
-            ("mean_abs_gap", summary["mean_abs_gap"]),
-            ("max_abs_gap", summary["max_abs_gap"]),
-        ]
-    )
-    _print_floor_flag(summary["below_svd_floor"])
+    _print_kv(summary, ("N", "points", "trials", "delta", "mean_abs_gap", "max_abs_gap"))
     _write(points, config.output, summary)
     return EXIT_OK
 
@@ -367,13 +307,19 @@ def _cmd_probe_noise(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY
 
 
+EXPERIMENT_FLAGS = (
+    "config seed out trials matrix n shift model workers alpha delta gamma eta tau nu-target headroom convention"
+)
+# Each subcommand: its handler, its --help line and the flags it takes, in --help order.
 _COMMANDS = {
-    "equiv": _cmd_equiv,
-    "grushin-verify": _cmd_grushin_verify,
-    "mc": _cmd_mc,
-    "sweep": _cmd_sweep,
-    "field": _cmd_field,
-    "probe-noise": _cmd_probe_noise,
+    "equiv": (_cmd_equiv, "print cutoff sums and parameters for a matrix, no sampling",
+              "config matrix n shift alpha gamma eta nu-target workers"),
+    "grushin-verify": (_cmd_grushin_verify, "run the block-algebra identity suite", EXPERIMENT_FLAGS),
+    "mc": (_cmd_mc, "single-matrix Monte Carlo against the cutoff sum", EXPERIMENT_FLAGS + " probe-eps diagnostics"),
+    "sweep": (_cmd_sweep, "size sweep with delta = N^-gamma", EXPERIMENT_FLAGS + " n-list diagnostics"),
+    "field": (_cmd_field, "log-potential field over a z-grid", EXPERIMENT_FLAGS + " re-min re-max im-min im-max steps"),
+    "probe-noise": (_cmd_probe_noise, "norm growth, tail, and anti-concentration probes",
+                    "config seed out trials matrix n shift model n-list tau-list beta-list"),
 }
 
 
@@ -381,8 +327,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except (ConfigError, ParameterError, ValueError, OverflowError) as exc:
+        return _COMMANDS[args.command][0](args)
+    # A factorization that fails to converge was fed non-finite values: too large a delta, say.
+    except (ConfigError, ValueError, OverflowError, NumericalError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

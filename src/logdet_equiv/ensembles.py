@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import NumericalError, as_matrix
+from .linalg import as_matrix, singular_values
 
 __all__ = [
     "MATRIX_KINDS",
@@ -143,20 +143,12 @@ def _constant_bidiagonal(spec: MatrixSpec):
     return abs(d), abs(e)
 
 
-def _svd_values(a: np.ndarray) -> np.ndarray:
-    """Descending singular values of a finite square matrix, without vectors."""
-    try:
-        return np.linalg.svd(a, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD did not converge on a {a.shape[0]}x{a.shape[1]} matrix") from exc
-
-
 @lru_cache(maxsize=256)
 def _bidiagonal_singvals(n: int, d: float, e: float) -> np.ndarray:
     # LAPACK's Householder steps leave a real upper bidiagonal matrix as it
     # is, and its bidiagonal SVD has high relative accuracy (Demmel & Kahan,
     # SIAM J. Sci. Stat. Comput. 1990).
-    return _svd_values(np.diag(np.full(n, d)) + np.diag(np.full(n - 1, e), k=1))
+    return singular_values(np.diag(np.full(n, d)) + np.diag(np.full(n - 1, e), k=1))
 
 
 def spectrum_of(spec: MatrixSpec, a: np.ndarray | None = None) -> np.ndarray:
@@ -185,7 +177,7 @@ def spectrum_of(spec: MatrixSpec, a: np.ndarray | None = None) -> np.ndarray:
     structured = _constant_bidiagonal(spec)
     if structured is not None:
         return _bidiagonal_singvals(int(spec.n), *structured).copy()
-    return _svd_values(as_matrix(realize(spec) if a is None else a))
+    return singular_values(as_matrix(realize(spec) if a is None else a))
 
 
 def svd_floor(spec: MatrixSpec, singvals) -> float:

@@ -39,7 +39,8 @@ CONVENTIONS = ("inclusive", "drop_all_small")
 
 
 class ParameterError(ValueError):
-    """A parameter set violates one of its declared constraints."""
+    """A parameter set or an experiment configuration violates one of its
+    declared constraints; ``experiments.ConfigError`` is this class."""
 
 
 def _size_power(n: int, name: str, value: float, sign: float = 1.0) -> float:
@@ -155,7 +156,7 @@ def bpz_equivalent(singvals, n_star_value: int, convention: str = "inclusive") -
     ambiguous; callers choose.
     """
     if convention not in CONVENTIONS:
-        raise ValueError(f"unknown convention {convention!r}; choose from {CONVENTIONS}")
+        raise ParameterError(f"unknown convention {convention!r}; choose from {CONVENTIONS}")
     s = _as_descending(singvals)
     n = int(s.size)
     n_star_value = int(n_star_value)

@@ -64,7 +64,7 @@ from .grushin import (
     assemble,
 )
 from .linalg import log_abs_det, operator_norm, smallest_singular_value
-from .noise import NOISE_KINDS, anti_concentration_probe, sample, substream_seed
+from .noise import NOISE_KINDS, NormGrowthFit, ProbeResult, anti_concentration_probe, sample, substream_seed
 
 __all__ = [
     "ConfigError",
@@ -111,8 +111,9 @@ PROBE_COLUMNS = ("model", "N", "trial", "stat_name", "value")
 EPS_PROBE_BLOCK = 0xFFFFFFFF
 
 
-class ConfigError(ValueError):
-    """The experiment configuration is malformed or infeasible."""
+# A malformed or infeasible configuration and a violated parameter constraint
+# are one error: whichever layer finds it, the command line exits 3.
+ConfigError = ParameterError
 
 
 @dataclass(frozen=True)
@@ -176,20 +177,9 @@ class ParamConfig:
             alpha = float(self.alpha)
             m = count_below(singvals, alpha)
         nu_n = m * math.log(n) / n if n >= 2 else 0.0
-        return EquivalenceParams(
-            alpha=alpha,
-            m=m,
-            nu_n=nu_n,
-            gamma=self.gamma,
-            eta=self.eta,
-            delta=self.delta,
-            tau=self.tau,
-            kappa1=self.kappa1,
-            beta=self.beta,
-            L=self.L,
-            C=self.C,
-            headroom=self.headroom,
-        )
+        # nu_target only steers the auto search; every other field carries over by name.
+        carried = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "nu_target"}
+        return EquivalenceParams(**{**carried, "alpha": alpha, "m": m, "nu_n": nu_n})
 
 
 @dataclass(frozen=True)
@@ -284,14 +274,13 @@ def _map_indexed(fn, count: int, workers: int) -> list:
 def _quantile_block(values) -> dict:
     v = np.asarray(values, dtype=float)
     finite = v[np.isfinite(v)]
-    block = {
+    return {
         "median": float(np.median(v)) if v.size else None,
         "q05": float(np.quantile(finite, 0.05)) if finite.size else None,
         "q95": float(np.quantile(finite, 0.95)) if finite.size else None,
         "max": float(v.max()) if v.size else None,
         "nonfinite": int(np.count_nonzero(~np.isfinite(v))),
     }
-    return block
 
 
 def _draw(config: ExperimentConfig, n: int, block: int, k: int):
@@ -338,11 +327,7 @@ def _resolve_single(config: ExperimentConfig, driver: str):
     a = realize(config.matrix)
     n = int(config.matrix.n)
     singvals = spectrum_of(config.matrix, a)
-    try:
-        params = config.params.resolve(singvals, n)
-    except ParameterError as exc:
-        raise ConfigError(str(exc)) from exc
-    return a, n, singvals, params
+    return a, n, singvals, config.params.resolve(singvals, n)
 
 
 def run_theorem2(config: ExperimentConfig, workers: int = 1, diagnostics: bool = False):
@@ -381,10 +366,7 @@ def run_theorem2(config: ExperimentConfig, workers: int = 1, diagnostics: bool =
             gamma=params.gamma,
         )
         eps_hat = probe.summary["rescaled_frequencies"][0]["frequency"]
-    try:
-        budget = error_budget(params, n, eps_n=eps_hat or 0.0)
-    except ParameterError as exc:
-        raise ConfigError(str(exc)) from exc
+    budget = error_budget(params, n, eps_n=eps_hat or 0.0)
 
     delta = params.delta
     records = _trial_records(config, a, delta, 0, rhs, params.alpha, params.m, budget.error_bound, workers, diagnostics)
@@ -438,12 +420,6 @@ def run_theorem1(
     gamma = config.params.gamma if gamma is None else float(gamma)
     eta = config.params.eta if eta is None else float(eta)
     convention = config.convention if convention is None else convention
-    if convention not in CONVENTIONS:
-        raise ConfigError(f"unknown convention {convention!r}; choose from {CONVENTIONS}")
-    if gamma <= 0.5:
-        raise ConfigError(f"the size sweep needs gamma > 1/2, got {gamma}")
-    if eta <= 0:
-        raise ConfigError(f"eta must be positive, got {eta}")
 
     records: list[TrialRecord] = []
     per_n = []
@@ -454,9 +430,11 @@ def run_theorem1(
             raise ConfigError(str(exc)) from exc
         a = realize(spec_n)
         singvals = spectrum_of(spec_n, a)
-        delta = float(n) ** (-gamma)
+        # n_star checks gamma > 1/2 and eta > 0 before N^-gamma can overflow;
+        # bpz_equivalent checks the convention.
         cutoff_index = n_star(singvals, gamma, eta)
         rhs = bpz_equivalent(singvals, cutoff_index, convention)
+        delta = float(n) ** (-gamma)
         rhs_by_convention = {c: bpz_equivalent(singvals, cutoff_index, c) for c in CONVENTIONS}
         step_records = _trial_records(
             config, a, delta, block, rhs, math.nan, cutoff_index, math.nan, workers, diagnostics
@@ -602,7 +580,7 @@ def log_potential_field(config: ExperimentConfig, workers: int = 1):
         singvals = spectrum_of(spec_z, a_z)
         try:
             params = config.params.resolve(singvals, n)
-        except (ParameterError, ConfigError) as exc:
+        except ConfigError as exc:
             raise ConfigError(f"grid point {z}: {exc}") from exc
         rhs = deterministic_equivalent(singvals, params.alpha)
         below_floor = below_floor or params.alpha < svd_floor(spec_z, singvals)
@@ -682,6 +660,20 @@ def _write_json(path: str, payload) -> None:
         fh.write("\n")
 
 
+def _write_probes(path: str, results) -> None:
+    _write_csv(path, PROBE_COLUMNS, (row for r in results for row in r.csv_rows()))
+
+
+# The artifact of each record type: file suffix and writer.
+_ARTIFACTS = {
+    TrialRecord: ("records.csv", lambda path, rs: _write_csv(path, RECORD_COLUMNS, map(astuple, rs))),
+    FieldPoint: ("field.csv", lambda path, rs: _write_csv(path, FIELD_COLUMNS, map(astuple, rs))),
+    dict: ("checks.json", _write_json),
+    ProbeResult: ("probes.csv", _write_probes),
+    NormGrowthFit: ("probes.csv", _write_probes),
+}
+
+
 def write_results(records, path_prefix: str, summary=None) -> list[str]:
     """Persist a record batch (and optional summary) under a path prefix.
 
@@ -691,29 +683,13 @@ def write_results(records, path_prefix: str, summary=None) -> list[str]:
     ``{prefix}_summary.json``.  An empty record list writes a header-only
     records CSV.  Returns the written paths.
     """
-    prefix = str(path_prefix)
-    written: list[str] = []
     records = list(records)
-    if records and isinstance(records[0], FieldPoint):
-        path = f"{prefix}_field.csv"
-        _write_csv(path, FIELD_COLUMNS, (astuple(r) for r in records))
-        written.append(path)
-    elif records and isinstance(records[0], dict) and "check" in records[0]:
-        path = f"{prefix}_checks.json"
-        _write_json(path, records)
-        written.append(path)
-    elif records and hasattr(records[0], "csv_rows"):
-        path = f"{prefix}_probes.csv"
-        _write_csv(path, PROBE_COLUMNS, (row for r in records for row in r.csv_rows()))
-        written.append(path)
-    else:
-        path = f"{prefix}_records.csv"
-        _write_csv(path, RECORD_COLUMNS, (astuple(r) for r in records))
-        written.append(path)
+    suffix, write = _ARTIFACTS[type(records[0]) if records else TrialRecord]
+    written = [f"{path_prefix}_{suffix}"]
+    write(written[0], records)
     if summary is not None:
-        path = f"{prefix}_summary.json"
-        _write_json(path, summary)
-        written.append(path)
+        written.append(f"{path_prefix}_summary.json")
+        _write_json(written[-1], summary)
     return written
 
 

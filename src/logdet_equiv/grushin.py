@@ -34,6 +34,7 @@ from .linalg import (
     as_matrix,
     log_abs_det,
     operator_norm,
+    singular_values,
     svd_paired,
 )
 
@@ -61,6 +62,8 @@ __all__ = [
 
 # Highest power of delta kept by the Neumann-series inversion.
 NEUMANN_TERMS = 25
+# Roundoff allowed on top of each norm bound of the inverse blocks.
+NORM_SLACK = 1e-12
 
 
 class DeflationError(ValueError):
@@ -147,11 +150,6 @@ class GrushinSystem:
     def retained(self) -> np.ndarray:
         """Singular values kept out of the deflated space (ascending)."""
         return self.svd.t[self.m:]
-
-    @property
-    def deflated(self) -> np.ndarray:
-        """The m smallest singular values (ascending)."""
-        return self.svd.t[: self.m]
 
     @_cached
     def blocks(self) -> InverseBlocks:
@@ -461,9 +459,8 @@ def interlacing_check(sys: GrushinSystem, pert: PerturbedSystem, slack: float = 
     m = sys.m
     if m == 0:
         return []
-    t_full = np.linalg.svd(pert.a_delta, compute_uv=False)[::-1]  # ascending
-    corner = pert.blocks.e_minus_plus
-    t_corner = np.linalg.svd(corner, compute_uv=False)[::-1]
+    t_full = singular_values(pert.a_delta)[::-1]  # ascending
+    t_corner = singular_values(pert.blocks.e_minus_plus)[::-1]
     norm_e, norm_eplus, norm_eminus = pert.blocks.norms
     norm_r = operator_norm(sys.r_plus) * operator_norm(sys.r_minus)
     records: list[CheckRecord] = []
@@ -478,7 +475,7 @@ def interlacing_check(sys: GrushinSystem, pert: PerturbedSystem, slack: float = 
     return records
 
 
-def norm_estimates(sys: GrushinSystem, blocks: InverseBlocks, alpha: float, slack: float = 1e-12) -> list[CheckRecord]:
+def norm_estimates(sys: GrushinSystem, blocks: InverseBlocks, alpha: float) -> list[CheckRecord]:
     """Norm bounds on the unperturbed inverse blocks at a cutoff ``alpha``.
 
     Requires ``t_m <= alpha <= t_{m+1}``; then ``||E|| <= 1/alpha``,
@@ -492,16 +489,16 @@ def norm_estimates(sys: GrushinSystem, blocks: InverseBlocks, alpha: float, slac
         raise ValueError(f"alpha = {alpha} outside the deflation window [{lo}, {hi}]")
     norm_e, norm_eplus, norm_eminus = blocks.norms
     records = [
-        _leq("norm_e", None, norm_e, 1.0 / alpha if alpha > 0 else math.inf, slack),
-        _leq("norm_e_minus_plus", None, operator_norm(blocks.e_minus_plus), alpha, slack),
+        _leq("norm_e", None, norm_e, 1.0 / alpha if alpha > 0 else math.inf, NORM_SLACK),
+        _leq("norm_e_minus_plus", None, operator_norm(blocks.e_minus_plus), alpha, NORM_SLACK),
     ]
     if m >= 1:
-        records.append(_eq("norm_e_plus", None, norm_eplus, 1.0, slack))
-        records.append(_eq("norm_e_minus", None, norm_eminus, 1.0, slack))
+        records.append(_eq("norm_e_plus", None, norm_eplus, 1.0, NORM_SLACK))
+        records.append(_eq("norm_e_minus", None, norm_eminus, 1.0, NORM_SLACK))
     return records
 
 
-def perturbed_norm_estimates(pert: PerturbedSystem, slack: float = 1e-12) -> list[CheckRecord]:
+def perturbed_norm_estimates(pert: PerturbedSystem) -> list[CheckRecord]:
     """Norm bounds on the perturbed blocks, valid in the contraction regime.
 
     ``||E^d|| <= 2/alpha``, ``||E^d_plus|| <= 2``, ``||E^d_minus|| <= 2``,
@@ -516,11 +513,11 @@ def perturbed_norm_estimates(pert: PerturbedSystem, slack: float = 1e-12) -> lis
     corner_move = operator_norm(pert.blocks.e_minus_plus - pert.base.blocks.e_minus_plus)
     norm_e, norm_eplus, norm_eminus = pert.blocks.norms
     records = [
-        _leq("perturbed_norm_e", None, norm_e, 2.0 / alpha, slack),
-        _leq("perturbed_norm_e_plus", None, norm_eplus, 2.0, slack),
-        _leq("perturbed_norm_e_minus", None, norm_eminus, 2.0, slack),
-        _leq("corner_drift", None, corner_move, 2.0 * pert.delta * pert.norm_g, slack),
+        _leq("perturbed_norm_e", None, norm_e, 2.0 / alpha, NORM_SLACK),
+        _leq("perturbed_norm_e_plus", None, norm_eplus, 2.0, NORM_SLACK),
+        _leq("perturbed_norm_e_minus", None, norm_eminus, 2.0, NORM_SLACK),
+        _leq("corner_drift", None, corner_move, 2.0 * pert.delta * pert.norm_g, NORM_SLACK),
     ]
     if math.isfinite(alpha):
-        records.append(_leq("corner_drift_alpha", None, corner_move, alpha, slack))
+        records.append(_leq("corner_drift_alpha", None, corner_move, alpha, NORM_SLACK))
     return records

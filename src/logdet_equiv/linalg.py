@@ -1,15 +1,15 @@
 """Dense complex linear algebra primitives.
 
-Everything downstream works with one factorization shape: singular values
-sorted *ascending* together with paired orthonormal systems ``(e_i, f_i)``
-satisfying ``A e_i = t_i f_i`` and ``A^* f_i = t_i e_i``.  Determinants are
-only ever handled in the log domain so that magnitudes like ``exp(+-1e6)``
-never overflow.
+Two factorization shapes: singular values sorted *ascending* together with
+paired orthonormal systems ``(e_i, f_i)`` satisfying ``A e_i = t_i f_i`` and
+``A^* f_i = t_i e_i``, and, where no vector is needed, the values alone,
+descending (:func:`singular_values`, the package's one values-only SVD).
+Determinants are only ever handled in the log domain so that magnitudes like
+``exp(+-1e6)`` never overflow.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +22,7 @@ __all__ = [
     "svd_paired",
     "svd_tolerance",
     "log_abs_det",
+    "singular_values",
     "operator_norm",
     "smallest_singular_value",
 ]
@@ -164,21 +165,23 @@ def log_abs_det(a) -> float:
     return float(logdet)
 
 
+def singular_values(a) -> np.ndarray:
+    """Descending singular values of a 2-d array, without vectors; empty for an
+    empty block.  The array keeps its dtype, so a real matrix gets a real SVD."""
+    a = np.asarray(a)
+    try:
+        return np.linalg.svd(a, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"SVD did not converge on a {a.shape[0]}x{a.shape[1]} matrix") from exc
+
+
 def operator_norm(a) -> float:
     """Largest singular value; 0.0 for an empty block."""
-    a = np.asarray(a, dtype=np.complex128)
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.norm(a, 2))
+    s = singular_values(np.asarray(a, dtype=np.complex128))
+    return float(s[0]) if s.size else 0.0
 
 
 def smallest_singular_value(a) -> float:
     """Smallest singular value; 0.0 for an empty block."""
-    a = np.asarray(a, dtype=np.complex128)
-    if a.size == 0:
-        return 0.0
-    try:
-        s = np.linalg.svd(a, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("SVD did not converge while computing s_min") from exc
-    return float(s[-1])
+    s = singular_values(np.asarray(a, dtype=np.complex128))
+    return float(s[-1]) if s.size else 0.0

@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 NOISE_KINDS = ("complex_ginibre", "real_gaussian", "rademacher_complex", "uniform_complex")
+MARKOV_KAPPA1 = 0.5  # norm-growth exponent of markov_tail_check's scale
 
 
 def _check_kind(model: str) -> str:
@@ -163,13 +164,14 @@ def norm_growth_probe(model: str, n_list, trials: int, seed: int) -> NormGrowthF
     return NormGrowthFit(per_n=tuple(per_n), kappa1_hat=slope, intercept=intercept, residuals=residuals)
 
 
-def markov_tail_check(model: str, n: int, trials: int, tau_list, seed: int = 0, kappa1: float = 0.5) -> ProbeResult:
+def markov_tail_check(model: str, n: int, trials: int, tau_list, seed: int = 0) -> ProbeResult:
     """Empirical norm tails against the Markov bound ``P(||G|| > c N^k1 tau) <= 1/tau``.
 
     The scale ``c`` is calibrated from the same sample as the empirical
-    mean ``||G|| / N^kappa1``, making the bound exactly Markov's inequality
-    in disguise; it must hold for any distribution, so each tau gets a
-    pass flag at three binomial standard errors.
+    mean ``||G|| / N^kappa1`` (``kappa1 =`` :data:`MARKOV_KAPPA1`), making
+    the bound exactly Markov's inequality in disguise; it must hold for any
+    distribution, so each tau gets a pass flag at three binomial standard
+    errors.
     """
     _check_kind(model)
     if trials < 100:
@@ -179,7 +181,7 @@ def markov_tail_check(model: str, n: int, trials: int, tau_list, seed: int = 0, 
         raise ValueError("tau values must be positive")
     norms = np.array([operator_norm(sample(model, n, substream_seed(seed, 0, k))) for k in range(trials)])
     mean_norm = float(norms.mean())
-    c_hat = mean_norm / float(n) ** kappa1
+    c_hat = mean_norm / float(n) ** MARKOV_KAPPA1
     checks = []
     for tau in taus:
         bound = 1.0 / tau
@@ -195,7 +197,7 @@ def markov_tail_check(model: str, n: int, trials: int, tau_list, seed: int = 0, 
             }
         )
     summary = dict(_base_summary(norms))
-    summary.update({"c_hat": c_hat, "kappa1": kappa1, "tails": checks})
+    summary.update({"c_hat": c_hat, "kappa1": MARKOV_KAPPA1, "tails": checks})
     return ProbeResult(model, int(n), int(trials), "operator_norm", tuple(float(x) for x in norms), summary)
 
 

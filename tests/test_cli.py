@@ -4,7 +4,9 @@ import csv
 import glob
 import json
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -158,6 +160,9 @@ def test_config_errors_exit_three(argv, capsys):
         (["equiv", "--config", "configs/jordan500.json", "--n", "0"], "matrix size must be >= 1, got 0"),
         (["sweep", "--config", "configs/jordan_sweep.json", "--n-list", ""], "needs a nonempty N_list"),
         (["probe-noise", "--n", "0", "--trials", "100", "--n-list", "4,8"], "matrix size must be >= 1, got 0"),
+        (["sweep", "--matrix", "jordan", "--n", "8", "--n-list", "8,16", "--gamma", "0.3"],
+         "gamma must exceed 1/2, got 0.3"),
+        (["equiv", "--matrix", "jordan", "--n", "8", "--workers", "0"], "workers must be >= 1, got 0"),
     ],
 )
 def test_given_flag_is_checked_like_a_config_value(capsys, argv, named):
@@ -631,4 +636,60 @@ def test_probe_noise_rejects_non_finite_values_before_sampling(monkeypatch, caps
     assert cli.main([*PROBE_BASE, *argv]) == 3
     err = capsys.readouterr().err
     assert f"configuration error: {named}" in err
+    assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# one flag table: each subcommand takes the flags it reads, none abbreviated
+
+EQUIV_FLAGS = {"--config", "--matrix", "--n", "--shift", "--alpha", "--gamma", "--eta", "--nu-target", "--workers"}
+
+
+def test_equiv_help_lists_exactly_the_flags_it_reads(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["equiv", "--help"])
+    options = capsys.readouterr().out.split("options:")[1]
+    assert set(re.findall(r"(?<![\w-])--[a-z][\w-]*", options)) == EQUIV_FLAGS | {"--help"}
+
+
+@pytest.mark.parametrize(
+    "flag", ["--out=X", "--seed=1", "--trials=2", "--model=real_gaussian", "--delta=0.5", "--tau=1",
+             "--headroom=0.1", "--convention=drop_all_small"],
+)
+def test_equiv_rejects_flags_it_does_not_read(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["equiv", "--matrix", "jordan", "--n", "8", flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_equiv_command_line_with_unread_flags_is_a_usage_error(tmp_path):
+    argv = ["equiv", "--matrix", "jordan", "--n", "8", "--workers", "0", "--out", str(tmp_path / "X"),
+            "--convention", "drop_all_small", "--delta", "0.5"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [([command, "--conf", "configs/jordan500.json"], "--conf") for command in SUBCOMMANDS]
+    + [(["mc", "--matrix", "jordan", "--n", "8", "--alpha", "0.5", "--trials", "2", "--diag"], "--diag")],
+)
+def test_no_subcommand_accepts_an_abbreviated_flag(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_a_delta_that_overflows_the_suite_exits_three(capsys):
+    # A + delta G overflows, so an SVD of the perturbed system cannot converge.
+    argv = ["grushin-verify", "--matrix", "diag:2x10,0x2", "--n", "12", "--alpha", "1.0", "--delta", "1e308",
+            "--trials", "1", "--workers", "1"]
+    with np.errstate(all="ignore"):
+        assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert "configuration error: SVD did not converge" in err
     assert "Traceback" not in err

@@ -17,6 +17,7 @@ from logdet_equiv import (
     FieldPoint,
     MatrixSpec,
     ParamConfig,
+    ParameterError,
     ZGrid,
     config_from_dict,
     config_to_dict,
@@ -35,7 +36,7 @@ from logdet_equiv import (
 )
 from logdet_equiv import ensembles
 from logdet_equiv.experiments import FIELD_COLUMNS, PROBE_COLUMNS, RECORD_COLUMNS
-from logdet_equiv.noise import markov_tail_check
+from logdet_equiv.noise import markov_tail_check, norm_growth_probe
 
 JORDAN_64 = MatrixSpec(kind="jordan", n=64)
 SHIFTED_ZERO = MatrixSpec(kind="zero", n=32, shift=2.0)
@@ -239,6 +240,20 @@ def test_theorem1_parameter_gates():
         run_theorem1(sweep_config(), convention="other")
 
 
+def test_config_and_parameter_errors_are_one_class():
+    assert ConfigError is ParameterError
+
+
+def test_theorem1_gates_are_those_of_the_cutoff_functions():
+    # A negative gamma gets its named error before N^-gamma can overflow.
+    with pytest.raises(ConfigError, match=r"gamma must exceed 1/2, got -1000.0"):
+        run_theorem1(sweep_config(), gamma=-1000.0)
+    with pytest.raises(ConfigError, match="eta must be positive"):
+        run_theorem1(sweep_config(), eta=-1.0)
+    with pytest.raises(ConfigError, match="unknown convention 'other'"):
+        run_theorem1(sweep_config(), convention="other")
+
+
 def test_theorem1_drop_convention_keeps_finite_rhs():
     records, summary = run_theorem1(sweep_config())
     assert summary["flagged_steps"] == 0
@@ -426,6 +441,15 @@ def test_write_results_checks_and_probes(tmp_path):
     lines = (tmp_path / "probe_probes.csv").read_text().strip().split("\n")
     assert lines[0] == ",".join(PROBE_COLUMNS)
     assert len(lines) == 1 + 100
+
+
+def test_write_results_growth_fits_go_to_the_probes_csv(tmp_path):
+    fit = norm_growth_probe("complex_ginibre", [4, 8], 3, seed=0)
+    paths = write_results([fit], tmp_path / "growth")
+    assert paths == [str(tmp_path / "growth_probes.csv")]
+    lines = (tmp_path / "growth_probes.csv").read_text().strip().split("\n")
+    assert lines[0] == ",".join(PROBE_COLUMNS)
+    assert len(lines) == 1 + 6
 
 
 def test_sweep_record_none_cells_serialize_empty(tmp_path):

@@ -13,6 +13,7 @@ from logdet_equiv import (
     as_matrix,
     log_abs_det,
     operator_norm,
+    singular_values,
     smallest_singular_value,
     svd_paired,
     svd_tolerance,
@@ -210,3 +211,28 @@ def test_operator_norm_submultiplicative(seed):
     a = gaussian_matrix(6, seed, key=0)
     b = gaussian_matrix(6, seed, key=1)
     assert operator_norm(a @ b) <= operator_norm(a) * operator_norm(b) * (1 + 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# singular_values: the one values-only SVD
+
+
+def test_singular_values_is_numpys_values_only_svd():
+    for a in (gaussian_matrix(9, seed=23), gaussian_matrix(9, seed=24)[:5], np.diag([3.0, 1.0]) + np.eye(2, k=1)):
+        np.testing.assert_array_equal(singular_values(a), np.linalg.svd(a, compute_uv=False))
+    assert singular_values(np.diag([3.0, 1.0])).dtype == np.float64
+    assert singular_values(np.zeros((0, 0))).size == 0
+
+
+def test_singular_values_failure_is_a_numerical_error():
+    with pytest.raises(NumericalError):
+        singular_values(np.full((3, 3), np.nan))
+
+
+@given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 40))
+@settings(max_examples=25, deadline=None)
+def test_norms_are_the_extreme_singular_values_bitwise(seed, n):
+    a = gaussian_matrix(n, seed)
+    s = singular_values(a)
+    assert operator_norm(a) == s[0] == float(np.linalg.norm(a, 2))
+    assert smallest_singular_value(a) == s[-1]
