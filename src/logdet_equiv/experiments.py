@@ -27,6 +27,7 @@ import csv
 import json
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, astuple, dataclass, field, fields, replace
 from sys import float_info
@@ -283,23 +284,41 @@ def _quantile_block(values) -> dict:
     }
 
 
-def _draw(config: ExperimentConfig, n: int, block: int, k: int):
-    """The noise of trial ``k`` of work unit ``block``: ``(seed_used, G)``."""
+def _draw(config: ExperimentConfig, n: int, block: int, k: int, out: np.ndarray | None = None):
+    """The noise of trial ``k`` of work unit ``block``: ``(seed_used, G)``, drawn into ``out`` if given."""
     sub = substream_seed(config.seed, block, k)
-    return sub, sample(config.model, n, sub)
+    return sub, sample(config.model, n, sub, out)
 
 
-def _trial(config: ExperimentConfig, a: np.ndarray, delta: float, block: int, k: int, diagnostics: bool = False):
+def _trial(
+    config: ExperimentConfig,
+    a: np.ndarray,
+    delta: float,
+    block: int,
+    k: int,
+    diagnostics: bool = False,
+    buffers: threading.local | None = None,
+):
     """Trial ``k`` of work unit ``block``: ``(seed_used, lhs, ||G||, s_min(A + delta G))``
     with ``lhs = (1/N) log |det (A + delta G)|``.  The last two cost one SVD each
-    and are taken only when ``diagnostics`` is set; otherwise they are ``math.nan``."""
+    and are taken only when ``diagnostics`` is set; otherwise they are ``math.nan``.
+
+    ``G`` is drawn into this thread's ``N x N`` buffer in ``buffers`` (a
+    ``threading.local`` that one run owns, so the buffers go when the run
+    returns), or into a fresh array without it, and turned into ``A + delta G``
+    in place (bitwise ``a + delta * g``)."""
     n = a.shape[0]
-    sub, g = _draw(config, n, block, k)
-    a_delta = a + delta * g
-    lhs = log_abs_det(a_delta) / n
+    g = getattr(buffers, "g", None)
+    if buffers is not None and (g is None or g.shape != (n, n)):
+        g = buffers.g = np.empty((n, n), dtype=np.complex128)
+    sub, g = _draw(config, n, block, k, g)
+    norm_g = operator_norm(g) if diagnostics else math.nan
+    g *= delta
+    g += a
+    lhs = log_abs_det(g) / n
     if not diagnostics:
         return sub, lhs, math.nan, math.nan
-    return sub, lhs, operator_norm(g), smallest_singular_value(a_delta)
+    return sub, lhs, norm_g, smallest_singular_value(g)
 
 
 def _trial_records(config, a, delta, block, rhs, alpha, m, error_bound, workers, diagnostics) -> list[TrialRecord]:
@@ -309,9 +328,10 @@ def _trial_records(config, a, delta, block, rhs, alpha, m, error_bound, workers,
     are measured only when ``diagnostics`` is set and are the ``math.nan``
     constant otherwise, so records of one config still compare equal."""
     n = a.shape[0]
+    buffers = threading.local()
 
     def one(k: int) -> TrialRecord:
-        sub, lhs, norm_g, s_min = _trial(config, a, delta, block, k, diagnostics)
+        sub, lhs, norm_g, s_min = _trial(config, a, delta, block, k, diagnostics, buffers)
         error = abs(lhs - rhs)
         within = None if math.isnan(error_bound) else bool(error <= error_bound)
         contraction = delta * norm_g / alpha if diagnostics else math.nan
@@ -574,6 +594,7 @@ def log_potential_field(config: ExperimentConfig, workers: int = 1):
     points = config.z_grid.points()
     field_points: list[FieldPoint] = []
     below_floor = False
+    buffers = threading.local()
     for p, z in enumerate(points):
         a_z = z * eye - base
         spec_z = replace(config.matrix, shift=z)
@@ -584,7 +605,9 @@ def log_potential_field(config: ExperimentConfig, workers: int = 1):
             raise ConfigError(f"grid point {z}: {exc}") from exc
         rhs = deterministic_equivalent(singvals, params.alpha)
         below_floor = below_floor or params.alpha < svd_floor(spec_z, singvals)
-        values = np.array(_map_indexed(lambda k: _trial(config, a_z, delta, p, k)[1], config.trials, workers))
+        values = np.array(
+            _map_indexed(lambda k: _trial(config, a_z, delta, p, k, buffers=buffers)[1], config.trials, workers)
+        )
         field_points.append(
             FieldPoint(
                 re_z=float(z.real),

@@ -49,33 +49,46 @@ def substream_seed(seed: int, *key: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def sample(model: str, n: int, seed: int) -> np.ndarray:
+def sample(model: str, n: int, seed: int, out: np.ndarray | None = None) -> np.ndarray:
     """Draw one ``n x n`` noise matrix; a pure function of ``(model, n, seed)``.
 
     complex_ginibre: ``(x + iy)/sqrt(2)`` with independent standard normals.
     real_gaussian: standard normals (stored complex for uniformity).
     rademacher_complex: ``(s1 + i s2)/sqrt(2)`` with independent signs.
     uniform_complex: uniform on the disk of radius ``sqrt(2)``.
+
+    With ``out`` (an ``n x n`` complex128 array, checked before any draw) the
+    draw overwrites it and ``out`` itself is returned, bit for bit what
+    ``out=None`` returns in a fresh array.
     """
     _check_kind(model)
     n = int(n)
     if n < 1:
         raise ValueError(f"matrix size must be >= 1, got {n}")
+    if out is None:
+        out = np.empty((n, n), dtype=np.complex128)
+    elif not isinstance(out, np.ndarray) or out.shape != (n, n) or out.dtype != np.complex128:
+        dtype = getattr(out, "dtype", None)
+        raise ValueError(f"out must be complex128 of shape {(n, n)}, got {dtype} of shape {np.shape(out)}")
     rng = np.random.default_rng(int(seed))
+    # Dividing a complex array by sqrt(2) multiplies each part by 1/sqrt(2).
+    scale = 1.0 / math.sqrt(2.0)
     if model == "complex_ginibre":
-        re = rng.standard_normal((n, n))
-        im = rng.standard_normal((n, n))
-        return (re + 1j * im) / math.sqrt(2.0)
-    if model == "real_gaussian":
-        return rng.standard_normal((n, n)).astype(np.complex128)
-    if model == "rademacher_complex":
-        re = 2.0 * rng.integers(0, 2, size=(n, n)) - 1.0
-        im = 2.0 * rng.integers(0, 2, size=(n, n)) - 1.0
-        return (re + 1j * im) / math.sqrt(2.0)
-    # uniform_complex: radius sqrt(2)*sqrt(U) makes E|g|^2 = 2*E[U] = 1
-    radius = math.sqrt(2.0) * np.sqrt(rng.random((n, n)))
-    angle = 2.0 * math.pi * rng.random((n, n))
-    return radius * np.exp(1j * angle)
+        buf = rng.standard_normal((n, n))
+        np.multiply(buf, scale, out=out.real)
+        np.multiply(rng.standard_normal(out=buf), scale, out=out.imag)
+    elif model == "real_gaussian":
+        out.real = rng.standard_normal((n, n))
+        out.imag = 0.0
+    elif model == "rademacher_complex":
+        np.multiply(2.0 * rng.integers(0, 2, size=(n, n)) - 1.0, scale, out=out.real)
+        np.multiply(2.0 * rng.integers(0, 2, size=(n, n)) - 1.0, scale, out=out.imag)
+    else:
+        # uniform_complex: radius sqrt(2)*sqrt(U) makes E|g|^2 = 2*E[U] = 1
+        radius = math.sqrt(2.0) * np.sqrt(rng.random((n, n)))
+        angle = 2.0 * math.pi * rng.random((n, n))
+        np.multiply(radius, np.exp(1j * angle), out=out)
+    return out
 
 
 def _quantiles(values: np.ndarray) -> dict:

@@ -4,6 +4,7 @@ import json
 import math
 import pathlib
 import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -34,9 +35,10 @@ from logdet_equiv import (
     write_matrix_csv,
     write_results,
 )
-from logdet_equiv import ensembles
+from logdet_equiv import ensembles, experiments
 from logdet_equiv.experiments import FIELD_COLUMNS, PROBE_COLUMNS, RECORD_COLUMNS
-from logdet_equiv.noise import markov_tail_check, norm_growth_probe
+from logdet_equiv.linalg import log_abs_det, operator_norm, smallest_singular_value
+from logdet_equiv.noise import markov_tail_check, norm_growth_probe, sample
 
 JORDAN_64 = MatrixSpec(kind="jordan", n=64)
 SHIFTED_ZERO = MatrixSpec(kind="zero", n=32, shift=2.0)
@@ -185,6 +187,40 @@ def test_theorem2_worker_count_does_not_change_results():
     records_4, summary_4 = run_theorem2(config, workers=4)
     assert records_1 == records_4
     assert summary_1["error"] == summary_4["error"]
+
+
+def _fresh_trial(config, a, delta, block, k):
+    """``_trial``'s values recomputed from a fresh draw and ``a + delta * g``."""
+    n = a.shape[0]
+    g = sample(config.model, n, substream_seed(config.seed, block, k))
+    a_delta = a + delta * g
+    return log_abs_det(a_delta) / n, operator_norm(g), smallest_singular_value(a_delta)
+
+
+def test_trial_reuses_one_buffer_per_thread_bitwise():
+    config = single_config(seed=5)
+    delta = 1e-3
+    buffers = threading.local()
+    for n in (8, 12, 8):
+        a = realize(MatrixSpec(kind="jordan", n=n, shift=0.3 + 0.2j))
+        ids = set()
+        for k in range(3):
+            lhs, norm_g, s_min = _fresh_trial(config, a, delta, 2, k)
+            expected = (substream_seed(5, 2, k), lhs, math.nan, math.nan)
+            assert experiments._trial(config, a, delta, 2, k) == expected
+            assert experiments._trial(config, a, delta, 2, k, buffers=buffers) == expected
+            assert experiments._trial(config, a, delta, 2, k, True, buffers)[1:] == (lhs, norm_g, s_min)
+            ids.add(id(buffers.g))
+        assert len(ids) == 1 and buffers.g.shape == (n, n)
+    a = realize(MatrixSpec(kind="jordan", n=12))
+    pool_buffers = threading.local()
+
+    def trial(k):
+        return experiments._trial(config, a, delta, 1, k, False, pool_buffers)[1]
+
+    pooled = experiments._map_indexed(trial, 10, 2)
+    assert pooled == [_fresh_trial(config, a, delta, 1, k)[0] for k in range(10)]
+    assert run_theorem2(config, workers=1, diagnostics=True) == run_theorem2(config, workers=2, diagnostics=True)
 
 
 def test_theorem2_probe_eps_fills_full_floor():
@@ -396,6 +432,23 @@ def test_field_reports_bad_grid_point():
     )
     with pytest.raises(ConfigError, match="grid point"):
         log_potential_field(config)
+
+
+def test_field_points_do_not_depend_on_worker_count():
+    config = field_config(
+        matrix=MatrixSpec(kind="jordan", n=16),
+        params=ParamConfig(alpha="auto", delta=1e-6),
+        z_grid=ZGrid(re_min=-1.0, re_max=1.0, im_min=-1.0, im_max=1.0, steps=3),
+    )
+    points_1, summary_1 = log_potential_field(config, workers=1)
+    points_2, summary_2 = log_potential_field(config, workers=2)
+    assert points_1 == points_2 and summary_1 == summary_2
+    # each point's trials are those of a single-mode run on z I - A, keys (p, k)
+    a = realize(config.matrix)
+    for p, (point, z) in enumerate(zip(points_1, config.z_grid.points())):
+        a_z = z * np.eye(16, dtype=np.complex128) - a
+        values = [_fresh_trial(config, a_z, 1e-6, p, k)[0] for k in range(config.trials)]
+        assert point.lhs_mean == float(np.mean(values))
 
 
 # ---------------------------------------------------------------------------

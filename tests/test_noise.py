@@ -1,5 +1,6 @@
 """Tests for the noise ensembles, substreams, and regularity probes."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -35,6 +36,70 @@ def test_sample_validation():
         sample("ginobili", 4, 0)
     with pytest.raises(ValueError):
         sample("complex_ginibre", 0, 0)
+
+
+# sha256 of sample(model, n, seed).tobytes(), taken before sample gained its out argument.
+STREAM_SHA256 = {
+    ("complex_ginibre", 1, 0): "f5b87fdb7b2bbcf2927e9a17654642467d1a2616378f03850239c0f6ea7e4357",
+    ("complex_ginibre", 7, 3): "42c7303bbdca58a5ac11dcaefd6b09cad09f7180d16b7778614a1306571445b2",
+    ("complex_ginibre", 64, 11): "77170c9ae7e6684c116428bafcdfae8ada1bd8ab27790a94fab3b773236e8401",
+    ("complex_ginibre", 245, 7): "df8e9ce4d2a933ec16193ff1d1015c24c1b50820bc25dc8eb698120dd1ffee3b",
+    ("complex_ginibre", 500, 20260814): "299af3e90a296662373776da256ee11d2c5e5bf62cf4e9a0ef657d005e5d380c",
+    ("real_gaussian", 1, 0): "2ba92a3403a0022e57fc5bf9852039f7fa30424a62a20d84457e8270fbe134b2",
+    ("real_gaussian", 7, 3): "b05bcf0500476781574ce6e010fff8217a9a21ed7f7ed16cb09943d7fa2ad5ef",
+    ("real_gaussian", 64, 11): "633c445eda17e818189a5836740b9b7391c04fd5e6e55c04776fe41a9792c11a",
+    ("real_gaussian", 245, 7): "7b713a7ad7030e91c170aa349c373417ba1c9144131ac9fc2d92373fa2f3bde6",
+    ("real_gaussian", 500, 20260814): "96b8a2405328a27b6746470eb3a1362a4b1ffd8fb3246fc51294718b76e00593",
+    ("rademacher_complex", 1, 0): "d6974b80c320e46e362b0172f08283aea0ee3fb046880b968530260620110901",
+    ("rademacher_complex", 7, 3): "e7d4a93aaa6daf6283f41dc68efb88cbfc40596a45097fca78b32e29203bca27",
+    ("rademacher_complex", 64, 11): "af410a83493988e23a212245625c8416184f63e6e5e46b23988fd4c5bc85d2c7",
+    ("rademacher_complex", 245, 7): "245de9d8c3d98551f8e83c8d127520ee8ca00bf86d70ffa9c3baf61021a783c3",
+    ("rademacher_complex", 500, 20260814): "82030c8231073f09b885253ead91cb729abec551c8d7fb4bff17c049abd94554",
+    ("uniform_complex", 1, 0): "52d537251a751c98a2152bbe497063e29a6bc3d88b2ef432382540afd1a3ea28",
+    ("uniform_complex", 7, 3): "e01cb52b6b5a182583ada44603dcd6e0c196eedaddf475b43804b5e38cfd853a",
+    ("uniform_complex", 64, 11): "af16456423073cc9d575b97673aae547b156dceeed0dde017ee4a7b2fa5ca855",
+    ("uniform_complex", 245, 7): "ef81ff5730ac0269c063d816faa1c60984001b419b1d7f49a7cec4f833f193fd",
+    ("uniform_complex", 500, 20260814): "6d35567b204b99fc85cee9c4cddf67df47fc51149e4707d15a0a50b897a79259",
+}
+
+
+@pytest.mark.parametrize("key", sorted(STREAM_SHA256))
+def test_sample_streams_are_pinned(key):
+    model, n, seed = key
+    assert hashlib.sha256(sample(model, n, seed).tobytes()).hexdigest() == STREAM_SHA256[key]
+
+
+@pytest.mark.parametrize("model", NOISE_KINDS)
+@pytest.mark.parametrize("n", [1, 7, 64])
+def test_sample_into_out_returns_out_bitwise(model, n):
+    buf = np.full((n, n), complex(np.nan, np.nan))
+    assert sample(model, n, 5, out=buf) is buf
+    assert buf.tobytes() == sample(model, n, 5).tobytes()
+    # a used buffer is overwritten entirely
+    assert sample(model, n, 6, out=buf).tobytes() == sample(model, n, 6).tobytes()
+
+
+@pytest.mark.parametrize(
+    "out",
+    [
+        np.zeros((4, 5), dtype=np.complex128),
+        np.zeros((5, 5), dtype=np.complex128),
+        np.zeros((4, 4), dtype=np.complex64),
+        np.zeros((4, 4), dtype=np.float64),
+        np.zeros(16, dtype=np.complex128),
+        [[0j] * 4] * 4,
+    ],
+    ids=["4x5", "5x5", "complex64", "float64", "flat", "list"],
+)
+def test_sample_rejects_a_wrong_out_before_drawing(out, monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew noise before checking out")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    before = np.array(out).tobytes()
+    with pytest.raises(ValueError, match="out must be complex128 of shape"):
+        sample("complex_ginibre", 4, 0, out=out)
+    assert np.array(out).tobytes() == before
 
 
 def test_unit_variance_normalization():
