@@ -161,6 +161,11 @@ class GrushinSystem:
         """``log |det P|`` of :func:`assemble`, taken once."""
         return log_abs_det(assemble(self))
 
+    @_cached
+    def injection_norm(self) -> float:
+        """``||R_plus|| ||R_minus||``, taken once."""
+        return operator_norm(self.r_plus) * operator_norm(self.r_minus)
+
 
 @dataclass(frozen=True)
 class InverseBlocks:
@@ -322,7 +327,10 @@ def invert_perturbed(
         Cutoff used for the contraction ratio.  Defaults to ``t_{m+1}``
         (the natural scale of ``1/||E||``); ``inf`` when ``m = n``.
     n_terms : int
-        Highest power of ``delta`` retained by the Neumann expansion.
+        Highest power of ``delta`` retained by the Neumann expansion.  The
+        Horner recursion behind it stops as soon as a step returns its input
+        bit for bit; the later steps would repeat that same product, so the
+        blocks equal those of all ``n_terms`` steps exactly.
 
     Raises
     ------
@@ -382,7 +390,11 @@ def invert_perturbed(
 def _neumann_blocks(sys: GrushinSystem, g: np.ndarray, delta: float, n_terms: int) -> InverseBlocks:
     """The series of :func:`invert_perturbed` in Horner form: ``S_0 = I``, ``S_k = I + X S_{k-1}`` with
     ``X = -delta G E``; then ``E^d = E S_K``, ``E^d_minus = E_minus S_K``, and ``E^d_plus`` and the
-    corner add ``E M`` and ``E_minus M`` to their unperturbed blocks, with ``M = -delta S_{K-1} G E_plus``."""
+    corner add ``E M`` and ``E_minus M`` to their unperturbed blocks, with ``M = -delta S_{K-1} G E_plus``.
+
+    The recursion stops early once ``S_k`` equals ``S_{k-1}`` bit for bit: every later step multiplies
+    the same operands again, so ``S_K = S_{K-1} = S_k`` and the blocks are exactly those of all
+    ``K = n_terms`` steps.  At a small contraction ``q`` that happens after about ``log eps / log q`` steps."""
     base = sys.blocks
     if delta == 0.0 or n_terms <= 0:
         # Empty series: the perturbed blocks are exactly the unperturbed ones.
@@ -392,6 +404,9 @@ def _neumann_blocks(sys: GrushinSystem, g: np.ndarray, delta: float, n_terms: in
     eye = np.eye(sys.n, dtype=np.complex128)
     s_prev, s = eye, eye + x
     for _ in range(n_terms - 1):
+        # ``I + Z`` holds no ``-0.0`` (``+0 + -0 = +0``), so equal here is equal bit for bit.
+        if np.array_equal(s, s_prev):
+            break
         s_prev, s = s, eye + x @ s
     mid = -delta * (s_prev @ (g @ base.e_plus))
     return InverseBlocks(e @ s, base.e_plus + e @ mid, e_minus @ s, base.e_minus_plus + e_minus @ mid)
@@ -462,7 +477,7 @@ def interlacing_check(sys: GrushinSystem, pert: PerturbedSystem, slack: float = 
     t_full = singular_values(pert.a_delta)[::-1]  # ascending
     t_corner = singular_values(pert.blocks.e_minus_plus)[::-1]
     norm_e, norm_eplus, norm_eminus = pert.blocks.norms
-    norm_r = operator_norm(sys.r_plus) * operator_norm(sys.r_minus)
+    norm_r = sys.injection_norm
     records: list[CheckRecord] = []
     for i in range(m):
         tc = float(t_corner[i])

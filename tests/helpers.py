@@ -7,7 +7,7 @@ root seed".
 
 import numpy as np
 
-from logdet_equiv import build_grushin, invert_perturbed, operator_norm, sample, substream_seed
+from logdet_equiv import InverseBlocks, build_grushin, invert_perturbed, operator_norm, sample, substream_seed
 
 
 def gaussian_matrix(n, seed, key=0):
@@ -50,3 +50,19 @@ def perturbed_instance(seed, contraction=0.3, method="direct", **kwargs):
     delta = contraction * alpha / operator_norm(g)
     pert = invert_perturbed(sys, g, delta, method, alpha=alpha)
     return sys, blocks, pert
+
+
+def full_depth_neumann_blocks(sys, g, delta, n_terms):
+    """The Neumann blocks of ``invert_perturbed`` with every one of the ``n_terms`` Horner steps run."""
+    base = sys.blocks
+    if delta == 0.0 or n_terms <= 0:
+        return base
+    x = -delta * (g @ base.e)
+    eye = np.eye(sys.n, dtype=np.complex128)
+    s_prev, s = eye, eye + x
+    for _ in range(n_terms - 1):
+        s_prev, s = s, eye + x @ s
+    mid = -delta * (s_prev @ (g @ base.e_plus))
+    return InverseBlocks(
+        base.e @ s, base.e_plus + base.e @ mid, base.e_minus @ s, base.e_minus_plus + base.e_minus @ mid
+    )

@@ -35,10 +35,13 @@ from logdet_equiv import (
     write_matrix_csv,
     write_results,
 )
-from logdet_equiv import ensembles, experiments
+from logdet_equiv import ensembles, experiments, grushin
 from logdet_equiv.experiments import FIELD_COLUMNS, PROBE_COLUMNS, RECORD_COLUMNS
+from logdet_equiv.grushin import NEUMANN_TERMS, build_grushin
 from logdet_equiv.linalg import log_abs_det, operator_norm, smallest_singular_value
 from logdet_equiv.noise import markov_tail_check, norm_growth_probe, sample
+
+from helpers import full_depth_neumann_blocks
 
 JORDAN_64 = MatrixSpec(kind="jordan", n=64)
 SHIFTED_ZERO = MatrixSpec(kind="zero", n=32, shift=2.0)
@@ -356,6 +359,50 @@ def test_grushin_suite_worker_count_does_not_change_checks():
     finally:
         sys.setswitchinterval(interval)
     assert threaded == serial
+
+
+def grushin_diag_config(**overrides):
+    # configs/grushin_diag.json at N = 40: the Neumann series reaches its
+    # fixed point after a few of its 25 steps.
+    matrix = MatrixSpec(kind="diagonal", n=40, diag=((2.0, 36), (0.0, 4)))
+    params = ParamConfig(alpha=1.0, gamma=4.0, delta=1e-8, tau=10.0)
+    return single_config(**{"matrix": matrix, "params": params, "trials": 4, "seed": 909, **overrides})
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_grushin_suite_matches_full_depth_neumann(monkeypatch, workers):
+    config = grushin_diag_config()
+    checks, summary = run_grushin_suite(config, workers=workers)
+    calls = []
+
+    def full_depth(*args):
+        calls.append(args[3])
+        return full_depth_neumann_blocks(*args)
+
+    monkeypatch.setattr(experiments, "_neumann_blocks", full_depth)
+    assert run_grushin_suite(config, workers=workers) == (checks, summary)
+    assert calls == [NEUMANN_TERMS] * config.trials
+
+
+def test_grushin_suite_takes_the_injection_norms_once(monkeypatch):
+    built, norms = [], []
+
+    def build(a, m):
+        sys, blocks = build_grushin(a, m)
+        built.append(sys)
+        return sys, blocks
+
+    def counted_norm(x):
+        norms.extend(name for system in built for name in ("r_plus", "r_minus") if x is getattr(system, name))
+        return operator_norm(x)
+
+    config = grushin_diag_config(trials=3)
+    expected = run_grushin_suite(config)
+    monkeypatch.setattr(experiments, "build_grushin", build)
+    monkeypatch.setattr(grushin, "operator_norm", counted_norm)
+    assert run_grushin_suite(config) == expected
+    assert len(built) == 1 and built[0].m == 4
+    assert sorted(norms) == ["r_minus", "r_plus"]
 
 
 def test_grushin_suite_mode_gate():

@@ -28,7 +28,7 @@ from logdet_equiv import (
 
 from logdet_equiv import grushin as grushin_module
 
-from helpers import gaussian_matrix, grushin_instance, midpoint_alpha, perturbed_instance
+from helpers import full_depth_neumann_blocks, gaussian_matrix, grushin_instance, midpoint_alpha, perturbed_instance
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +186,67 @@ def test_neumann_series_depth_is_exact(n_terms):
         series = invert_perturbed(sys, g, d, "neumann", alpha=direct.alpha, n_terms=n_terms)
         for name, value in expected.items():
             np.testing.assert_allclose(getattr(series.blocks, name), value, rtol=0, atol=1e-12, err_msg=name)
+
+
+def _counting_perturbation(g):
+    """``g`` as an array whose ``n x n`` by ``n x n`` products are counted.
+
+    Everything derived from it, ``X = -delta G E`` and each ``S_k``, keeps the
+    type, so the count is one for forming ``X`` plus one per Horner step
+    ``S_k = I + X S_{k-1}`` with ``k >= 2``: ``n_terms`` at full depth.
+    """
+
+    class Counting(np.ndarray):
+        calls = 0
+
+        def __matmul__(self, other):
+            if np.shape(other) == self.shape:
+                Counting.calls += 1
+            return super().__matmul__(other)
+
+    return np.asarray(g).view(Counting), Counting
+
+
+def _assert_blocks_identical(got, expected):
+    for name in ("e", "e_plus", "e_minus", "e_minus_plus"):
+        assert np.array_equal(getattr(got, name), getattr(expected, name)), name
+
+
+def _dense_instance(seed):
+    """A 30 x 30 Ginibre matrix deflated by 3, with a Ginibre perturbation."""
+    sys, _ = build_grushin(gaussian_matrix(30, seed=seed), 3)
+    return sys, gaussian_matrix(30, seed=seed, key=1)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_neumann_stops_at_its_fixed_point(seed):
+    # At delta = 1e-8 the contraction is ~1e-7: S_k stops changing after a
+    # few steps, and the blocks are bit for bit those of all 25 steps.
+    sys, g = _dense_instance(70 + seed)
+    counted, counter = _counting_perturbation(g)
+    n_terms = grushin_module.NEUMANN_TERMS
+    blocks = grushin_module._neumann_blocks(sys, counted, 1e-8, n_terms)
+    assert 1 <= counter.calls < n_terms
+    _assert_blocks_identical(blocks, full_depth_neumann_blocks(sys, g, 1e-8, n_terms))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_neumann_runs_every_step_without_a_fixed_point(seed):
+    # 0.45^25 ~ 2e-9 is far above roundoff, so no step repeats its input.
+    sys, g = _dense_instance(90 + seed)
+    delta = 0.45 * midpoint_alpha(sys) / operator_norm(g)
+    counted, counter = _counting_perturbation(g)
+    n_terms = grushin_module.NEUMANN_TERMS
+    blocks = grushin_module._neumann_blocks(sys, counted, delta, n_terms)
+    assert counter.calls == n_terms
+    _assert_blocks_identical(blocks, full_depth_neumann_blocks(sys, g, delta, n_terms))
+
+
+def test_neumann_zero_delta_returns_the_unperturbed_blocks():
+    sys, blocks = grushin_instance(seed=75, min_m=1)
+    counted, counter = _counting_perturbation(gaussian_matrix(sys.n, seed=76))
+    assert grushin_module._neumann_blocks(sys, counted, 0.0, grushin_module.NEUMANN_TERMS) is blocks
+    assert counter.calls == 0
 
 
 def test_neumann_rejects_noncontractive_delta():
