@@ -71,15 +71,15 @@ def _as_descending(singvals) -> np.ndarray:
     return s
 
 
-def _count_above(s: np.ndarray, alpha: float) -> int:
-    # descending array: first index where s[j] <= alpha, via binary search
-    return int(np.searchsorted(-s, -alpha, side="left"))
+def _count_above(s: np.ndarray, alpha):
+    # descending array: first index where s[j] <= alpha, via binary search (one per entry of an array alpha)
+    return np.searchsorted(-s, -alpha, side="left")
 
 
 def count_below(singvals, alpha: float) -> int:
     """Number of singular values ``<= alpha`` (the deflation count ``M``)."""
     s = _as_descending(singvals)
-    return int(s.size) - _count_above(s, float(alpha))
+    return int(s.size) - int(_count_above(s, float(alpha)))
 
 
 def deterministic_equivalent(singvals, alpha: float) -> float:
@@ -115,11 +115,12 @@ def auto_alpha(singvals, nu_n_target: float, L: float = 2.0, C: float = 1.0):
     distinct = np.unique(s)  # ascending, deduplicated
     mids = (distinct[:-1] + distinct[1:]) / 2.0
     candidates.update(float(x) for x in mids if lo <= x <= 1.0)
-    for alpha in sorted(candidates, reverse=True):
-        m = count_below(s, alpha)
-        if m <= budget:
-            return float(alpha), int(m)
-    return None
+    alphas = np.array(sorted(candidates, reverse=True))
+    counts = n - _count_above(s, alphas)
+    fits = np.flatnonzero(counts <= budget)
+    if fits.size == 0:
+        return None
+    return float(alphas[fits[0]]), int(counts[fits[0]])
 
 
 def n_star(singvals, gamma: float, eta: float) -> int:

@@ -354,7 +354,9 @@ def invert_perturbed(
     contraction = 0.0 if delta == 0.0 else delta * norm_g / alpha
 
     n = sys.n
-    a_delta = sys.a + delta * g
+    # One allocation; ``delta G + A`` is ``A + delta G`` bit for bit.
+    a_delta = np.multiply(delta, g)
+    a_delta += sys.a
     if method == "direct":
         try:
             inv = np.linalg.inv(_bordered(sys, a_delta))
@@ -387,6 +389,20 @@ def invert_perturbed(
     )
 
 
+def _identity_plus(t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``I + t`` bit for bit as ``np.eye(n) + t``, without a dense identity: adding ``+0.0`` turns each
+    ``-0.0`` into ``+0.0`` as the identity's zeros do, and ``(t_ii + 0) + 1 = 1 + t_ii``.  Written into
+    ``out`` when given, which may be ``t`` itself."""
+    out = np.add(t, 0.0, out=out)
+    out.flat[:: out.shape[0] + 1] += 1.0
+    return out
+
+
+def _is_identity(s: np.ndarray) -> bool:
+    """``np.array_equal(s, np.eye(n))``: a diagonal of ones (looked at first, in ``O(n)``) and no other nonzero."""
+    return bool((s.diagonal() == 1.0).all()) and np.count_nonzero(s) == s.shape[0]
+
+
 def _neumann_blocks(sys: GrushinSystem, g: np.ndarray, delta: float, n_terms: int) -> InverseBlocks:
     """The series of :func:`invert_perturbed` in Horner form: ``S_0 = I``, ``S_k = I + X S_{k-1}`` with
     ``X = -delta G E``; then ``E^d = E S_K``, ``E^d_minus = E_minus S_K``, and ``E^d_plus`` and the
@@ -394,20 +410,27 @@ def _neumann_blocks(sys: GrushinSystem, g: np.ndarray, delta: float, n_terms: in
 
     The recursion stops early once ``S_k`` equals ``S_{k-1}`` bit for bit: every later step multiplies
     the same operands again, so ``S_K = S_{K-1} = S_k`` and the blocks are exactly those of all
-    ``K = n_terms`` steps.  At a small contraction ``q`` that happens after about ``log eps / log q`` steps."""
+    ``K = n_terms`` steps.  At a small contraction ``q`` that happens after about ``log eps / log q`` steps.
+
+    Each step adds ``I`` into its fresh product in place, and ``S_0 = I`` stays implicit, so the loop holds
+    four ``n x n`` arrays (``X``, ``S_{k-1}``, ``S_k`` and the next product); ``g`` and the cached
+    ``sys.blocks`` are only read."""
     base = sys.blocks
     if delta == 0.0 or n_terms <= 0:
         # Empty series: the perturbed blocks are exactly the unperturbed ones.
         return base
     e, e_minus = base.e, base.e_minus
-    x = -delta * (g @ e)
-    eye = np.eye(sys.n, dtype=np.complex128)
-    s_prev, s = eye, eye + x
+    x = g @ e
+    np.multiply(-delta, x, out=x)
+    s_prev, s = None, _identity_plus(x)  # ``None`` is ``S_0 = I``
     for _ in range(n_terms - 1):
         # ``I + Z`` holds no ``-0.0`` (``+0 + -0 = +0``), so equal here is equal bit for bit.
-        if np.array_equal(s, s_prev):
+        if _is_identity(s) if s_prev is None else np.array_equal(s, s_prev):
             break
-        s_prev, s = s, eye + x @ s
+        t = x @ s
+        s_prev, s = s, _identity_plus(t, out=t)
+    if s_prev is None:
+        s_prev = np.eye(sys.n, dtype=np.complex128)
     mid = -delta * (s_prev @ (g @ base.e_plus))
     return InverseBlocks(e @ s, base.e_plus + e @ mid, e_minus @ s, base.e_minus_plus + e_minus @ mid)
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logdet_equiv import (
@@ -113,6 +113,37 @@ def test_auto_alpha_respects_floor():
     alpha, m = found
     assert alpha >= 8.0**-2.0
     assert m == 8
+
+
+def auto_alpha_loop(s, nu_n_target, L, C):
+    """auto_alpha as its docstring reads, one candidate at a time and counted one value at a time."""
+    n = len(s)
+    lo = C * float(n) ** -L
+    if lo > 1.0:
+        return None
+    budget = nu_n_target * n / math.log(n) if n >= 2 else float(n)
+    distinct = sorted(set(s))
+    mids = [(a + b) / 2.0 for a, b in zip(distinct, distinct[1:])]
+    for alpha in sorted({lo, 1.0, *(x for x in mids if lo <= x <= 1.0)}, reverse=True):
+        m = sum(1 for x in s if x <= alpha)
+        if m <= budget:
+            return alpha, m
+    return None
+
+
+@given(
+    values=st.lists(st.sampled_from([0.0, 1e-7, 0.05, 0.5, 1.0, 3.0]) | st.floats(0.0, 4.0), min_size=1, max_size=40),
+    nu_n_target=st.floats(0.0, 2.0),
+    L=st.floats(0.0, 4.0),
+    C=st.floats(0.01, 10.0),
+)
+@example(values=[1.0, 0.0, 0.0], nu_n_target=0.0, L=2.0, C=1.0)  # zeros over budget: None
+@example(values=[0.5, 0.5], nu_n_target=1.0, L=0.0, C=2.0)  # floor above 1: None
+@example(values=[2.0, 0.5, 0.5, 0.5, 0.0], nu_n_target=1.0, L=2.0, C=1.0)
+@settings(max_examples=200, deadline=None)
+def test_auto_alpha_matches_loop_oracle(values, nu_n_target, L, C):
+    s = np.array(sorted(values, reverse=True))
+    assert auto_alpha(s, nu_n_target, L, C) == auto_alpha_loop([float(x) for x in s], nu_n_target, L, C)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import math
 import pathlib
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -403,6 +404,26 @@ def test_grushin_suite_takes_the_injection_norms_once(monkeypatch):
     assert run_grushin_suite(config) == expected
     assert len(built) == 1 and built[0].m == 4
     assert sorted(norms) == ["r_minus", "r_plus"]
+
+
+def test_grushin_suite_footprint():
+    # Peak traced bytes of a run, in N x N complex arrays of 16 N^2 bytes.  A trial holds about 12: A, the
+    # SVD's two factors, E, G, A + delta G, the direct E^d, the Horner loop's four, and E S_K formed before
+    # they go.  The static checks' arrays are gone before the first trial, and a Horner step allocates one.
+    n = 80
+    config = grushin_diag_config(matrix=MatrixSpec(kind="diagonal", n=n, diag=((2.0, 72), (0.0, 8))))
+    run_grushin_suite(config)  # warm-up: lazy imports and first-call set-up stay out of the reading
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start, _ = tracemalloc.get_traced_memory()
+        run_grushin_suite(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak - start <= 14 * 16 * n * n
 
 
 def test_grushin_suite_mode_gate():

@@ -9,6 +9,9 @@ from logdet_equiv import (
     ContractionError,
     DeflationError,
     DimensionError,
+    ExperimentConfig,
+    MatrixSpec,
+    ParamConfig,
     assemble,
     assemble_perturbed,
     build_grushin,
@@ -26,6 +29,7 @@ from logdet_equiv import (
     schur_logdet,
 )
 
+from logdet_equiv import experiments
 from logdet_equiv import grushin as grushin_module
 
 from helpers import full_depth_neumann_blocks, gaussian_matrix, grushin_instance, midpoint_alpha, perturbed_instance
@@ -240,6 +244,63 @@ def test_neumann_runs_every_step_without_a_fixed_point(seed):
     blocks = grushin_module._neumann_blocks(sys, counted, delta, n_terms)
     assert counter.calls == n_terms
     _assert_blocks_identical(blocks, full_depth_neumann_blocks(sys, g, delta, n_terms))
+
+
+def _shared_arrays(sys):
+    """``A`` and the cached unperturbed blocks, which every trial on ``sys`` reads."""
+    blocks = sys.blocks
+    return [sys.a, blocks.e, blocks.e_plus, blocks.e_minus, blocks.e_minus_plus]
+
+
+@pytest.mark.parametrize("contraction", [1e-7, 0.45])
+def test_perturbed_inversion_writes_no_caller_array(contraction):
+    # The in-place steps of invert_perturbed and the Horner loop may write only arrays they allocated.
+    sys, g = _dense_instance(80)
+    alpha = midpoint_alpha(sys)
+    delta = contraction * alpha / operator_norm(g)
+    inputs = [g, *_shared_arrays(sys)]
+    before = [x.tobytes() for x in inputs]
+
+    def inversions():
+        return [
+            invert_perturbed(sys, g, delta, "direct", alpha=alpha).blocks,
+            invert_perturbed(sys, g, delta, "neumann", alpha=alpha).blocks,
+            grushin_module._neumann_blocks(sys, g, delta, grushin_module.NEUMANN_TERMS),
+        ]
+
+    first, second = inversions(), inversions()
+    assert [x.tobytes() for x in inputs] == before
+    for got, expected in zip(second, first):
+        _assert_blocks_identical(got, expected)
+
+
+def test_grushin_suite_writes_no_shared_array(monkeypatch):
+    handed_over = []  # (array, its bytes when the suite got it)
+    draw = experiments._draw
+
+    def build(a, m):
+        sys, blocks = build_grushin(a, m)
+        handed_over.extend((x, x.tobytes()) for x in _shared_arrays(sys))
+        return sys, blocks
+
+    def kept_draw(*args):
+        seed_used, g = draw(*args)
+        handed_over.append((g, g.tobytes()))
+        return seed_used, g
+
+    monkeypatch.setattr(experiments, "build_grushin", build)
+    monkeypatch.setattr(experiments, "_draw", kept_draw)
+    config = ExperimentConfig(
+        matrix=MatrixSpec(kind="diagonal", n=40, diag=((2.0, 36), (0.0, 4))),
+        model="complex_ginibre",
+        params=ParamConfig(alpha=1.0, gamma=4.0, delta=1e-8, tau=10.0),
+        trials=3,
+        seed=909,
+    )
+    _, summary = experiments.run_grushin_suite(config)
+    assert summary["ok"] and len(handed_over) == 5 + config.trials
+    for x, data in handed_over:
+        assert x.tobytes() == data
 
 
 def test_neumann_zero_delta_returns_the_unperturbed_blocks():
