@@ -5,7 +5,8 @@ Subcommands: ``equiv`` (print cutoff sums, no sampling), ``grushin-verify``
 (size-asymptotic runs), ``field`` (log-potential grid), ``probe-noise``
 (noise-model diagnostics).  A given flag always wins over the config-file
 value and is checked exactly like it.  Exit status: 0 on success, 2 on
-verification failure (or an argparse usage error), 3 on configuration errors.
+verification failure (or an argparse usage error), 3 on configuration errors
+(a size too large to allocate among them).
 """
 
 from __future__ import annotations
@@ -62,7 +63,9 @@ _FLAGS = {
     "shift": dict(help="complex shift z; the realized matrix is z*I - A"),
     "model": dict(choices=NOISE_KINDS, help="noise model"),
     "workers": dict(
-        type=int, help="thread pool size (default: $LOGDET_EQUIV_WORKERS or 1); output is worker-count independent"
+        type=int,
+        help="thread pool size (default: $LOGDET_EQUIV_WORKERS or 1); "
+        "output is worker-count independent at a fixed BLAS thread count",
     ),
     "alpha": dict(type=_float_or_text, help="singular-value cutoff in (0,1], or 'auto'"),
     "delta": dict(type=float, help="noise amplitude"),
@@ -73,7 +76,9 @@ _FLAGS = {
     "headroom": dict(type=float, help="fraction of the admissible delta ceiling to allow"),
     "convention": dict(choices=CONVENTIONS, help="cutoff-sum index convention"),
     "probe-eps": dict(
-        action="store_true", default=None, help="measure the anti-concentration failure rate alongside the run"
+        action="store_true",
+        default=None,
+        help="measure the anti-concentration failure rate alongside the run (one values-only SVD per trial)",
     ),
     "n-list": dict(help="comma-separated ascending sizes, e.g. 100,200,400"),
     "diagnostics": dict(
@@ -329,7 +334,8 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command][0](args)
     # A factorization that fails to converge was fed non-finite values: too large a delta, say.
-    except (ConfigError, ValueError, OverflowError, NumericalError) as exc:
+    # A MemoryError names the size numpy could not allocate: too large an N for this machine.
+    except (ConfigError, ValueError, OverflowError, NumericalError, MemoryError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -37,10 +37,9 @@ NOISE_KINDS = ("complex_ginibre", "real_gaussian", "rademacher_complex", "unifor
 MARKOV_KAPPA1 = 0.5  # norm-growth exponent of markov_tail_check's scale
 
 
-def _check_kind(model: str) -> str:
+def _check_kind(model: str) -> None:
     if model not in NOISE_KINDS:
         raise ValueError(f"unknown noise model {model!r}; choose from {NOISE_KINDS}")
-    return model
 
 
 def substream_seed(seed: int, *key: int) -> int:
@@ -89,18 +88,6 @@ def sample(model: str, n: int, seed: int, out: np.ndarray | None = None) -> np.n
         angle = 2.0 * math.pi * rng.random((n, n))
         np.multiply(radius, np.exp(1j * angle), out=out)
     return out
-
-
-def _quantiles(values: np.ndarray) -> dict:
-    qs = np.quantile(values, [0.05, 0.25, 0.5, 0.75, 0.95])
-    return {"q05": float(qs[0]), "q25": float(qs[1]), "q50": float(qs[2]), "q75": float(qs[3]), "q95": float(qs[4])}
-
-
-def _base_summary(values) -> dict:
-    v = np.asarray(values, dtype=float)
-    if v.size == 0:
-        return {"mean": None, "quantiles": None}
-    return {"mean": float(v.mean()), "quantiles": _quantiles(v)}
 
 
 @dataclass(frozen=True)
@@ -157,6 +144,21 @@ def fit_growth(n_list, mean_norms) -> tuple[float, float, tuple]:
     return float(slope), float(intercept), tuple(float(r) for r in residuals)
 
 
+def _probe_values(model: str, n: int, trials: int, seed: int, block: int, *measures) -> np.ndarray:
+    """Row ``i`` holds ``measures[i](G)`` for each draw ``G = sample(model, n, substream_seed(seed, block, k))``,
+    ``k < trials``: every measure reads the same draws."""
+    draws = (sample(model, n, substream_seed(seed, block, k)) for k in range(trials))
+    return np.array([[measure(g) for measure in measures] for g in draws], dtype=float).T.copy()
+
+
+def _result(model: str, n: int, stat_name: str, values: np.ndarray, **extra) -> ProbeResult:
+    """``values`` (one per trial) with a summary of their mean and quantiles, then ``extra``."""
+    qs = np.quantile(values, [0.05, 0.25, 0.5, 0.75, 0.95])
+    quantiles = {key: float(q) for key, q in zip(("q05", "q25", "q50", "q75", "q95"), qs)}
+    summary = {"mean": float(values.mean()), "quantiles": quantiles, **extra}
+    return ProbeResult(model, int(n), values.size, stat_name, tuple(values.tolist()), summary)
+
+
 def norm_growth_probe(model: str, n_list, trials: int, seed: int) -> NormGrowthFit:
     """Estimate the norm-growth exponent ``kappa1`` across sizes."""
     _check_kind(model)
@@ -167,12 +169,10 @@ def norm_growth_probe(model: str, n_list, trials: int, seed: int) -> NormGrowthF
         raise ValueError("matrix sizes must be strictly ascending")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    per_n = []
-    for block, n in enumerate(sizes):
-        values = tuple(
-            operator_norm(sample(model, n, substream_seed(seed, block, k))) for k in range(trials)
-        )
-        per_n.append(ProbeResult(model, n, trials, "operator_norm", values, _base_summary(values)))
+    per_n = [
+        _result(model, n, "operator_norm", _probe_values(model, n, trials, seed, block, operator_norm)[0])
+        for block, n in enumerate(sizes)
+    ]
     slope, intercept, residuals = fit_growth(sizes, [r.summary["mean"] for r in per_n])
     return NormGrowthFit(per_n=tuple(per_n), kappa1_hat=slope, intercept=intercept, residuals=residuals)
 
@@ -192,7 +192,7 @@ def markov_tail_check(model: str, n: int, trials: int, tau_list, seed: int = 0) 
     taus = [float(t) for t in tau_list]
     if any(t <= 0 for t in taus):
         raise ValueError("tau values must be positive")
-    norms = np.array([operator_norm(sample(model, n, substream_seed(seed, 0, k))) for k in range(trials)])
+    norms = _probe_values(model, n, trials, seed, 0, operator_norm)[0]
     mean_norm = float(norms.mean())
     c_hat = mean_norm / float(n) ** MARKOV_KAPPA1
     checks = []
@@ -200,18 +200,26 @@ def markov_tail_check(model: str, n: int, trials: int, tau_list, seed: int = 0) 
         bound = 1.0 / tau
         empirical = float(np.mean(norms > mean_norm * tau))
         se = math.sqrt(bound * (1.0 - bound) / trials) if bound < 1.0 else 0.0
-        checks.append(
-            {
-                "tau": tau,
-                "empirical": empirical,
-                "bound": bound,
-                "se": se,
-                "pass": bool(empirical <= bound + 3.0 * se),
-            }
-        )
-    summary = dict(_base_summary(norms))
-    summary.update({"c_hat": c_hat, "kappa1": MARKOV_KAPPA1, "tails": checks})
-    return ProbeResult(model, int(n), int(trials), "operator_norm", tuple(float(x) for x in norms), summary)
+        passed = bool(empirical <= bound + 3.0 * se)
+        checks.append({"tau": tau, "empirical": empirical, "bound": bound, "se": se, "pass": passed})
+    return _result(model, n, "operator_norm", norms, c_hat=c_hat, kappa1=MARKOV_KAPPA1, tails=checks)
+
+
+def _frequencies(n: int, betas, gamma: float | None = None):
+    """Values -> each beta, its threshold ``N^-beta`` (``N^-(gamma + beta)`` given ``gamma``) and the share
+    of values at or below it.  Every ``N^-beta`` is taken here first, so an overflow is named before any draw."""
+    thresholds = [_size_power(n, "beta", b, -1.0) for b in betas]
+    if gamma is not None:
+        thresholds = [_size_power(n, "gamma + beta", gamma + b, -1.0) for b in betas]
+    return lambda v: [dict(beta=b, threshold=t, frequency=float(np.mean(v <= t))) for b, t in zip(betas, thresholds)]
+
+
+def _rescaled_frequencies(d, model: str, trials: int, betas, seed: int, delta: float, gamma: float) -> list:
+    """:func:`anti_concentration_probe`'s ``rescaled_frequencies`` alone, at one SVD per trial: only
+    ``s_min(D + delta G)`` is measured, for a ``delta`` the caller has checked."""
+    scaled = _frequencies(d.shape[0], betas, gamma)
+    (smin,) = _probe_values(model, d.shape[0], trials, seed, 0, lambda g: smallest_singular_value(d + delta * g))
+    return scaled(smin)
 
 
 def anti_concentration_probe(
@@ -228,7 +236,7 @@ def anti_concentration_probe(
     For each ``beta`` reports the empirical frequency of
     ``s_min(D + G) <= N**-beta``.  When both ``delta`` and ``gamma`` are
     given (with ``delta >= N**-gamma``), also reports the rescaled variant:
-    the frequency of ``s_min(D + delta G) <= N**-(gamma + beta)``.
+    the frequency of ``s_min(D + delta G) <= N**-(gamma + beta)``, on the same draws.
 
     ``trials = 0`` is legal and yields undefined (None) frequencies.
     """
@@ -238,7 +246,7 @@ def anti_concentration_probe(
     _check_kind(model)
     n = d.shape[0]
     betas = [float(b) for b in beta_list]
-    thresholds = [_size_power(n, "beta", b, -1.0) for b in betas]
+    plain = _frequencies(n, betas)
     rescaled = delta is not None or gamma is not None
     if rescaled:
         if delta is None or gamma is None:
@@ -246,26 +254,11 @@ def anti_concentration_probe(
         floor = _size_power(n, "gamma", gamma, -1.0)
         if delta < floor:
             raise ValueError(f"rescaled variant assumes delta >= N^-gamma = {floor:.3g}")
-        rescaled_thresholds = [_size_power(n, "gamma + beta", gamma + b, -1.0) for b in betas]
+        scaled = _frequencies(n, betas, gamma)
     if trials == 0:
         summary = {"mean": None, "quantiles": None, "frequencies": None, "rescaled_frequencies": None}
         return ProbeResult(model, n, 0, "smallest_singular_value", (), summary)
-    smin = np.empty(trials)
-    smin_rescaled = np.empty(trials) if rescaled else None
-    for k in range(trials):
-        g = sample(model, n, substream_seed(seed, 0, k))
-        smin[k] = smallest_singular_value(d + g)
-        if rescaled:
-            smin_rescaled[k] = smallest_singular_value(d + delta * g)
-    frequencies = [
-        {"beta": b, "threshold": t, "frequency": float(np.mean(smin <= t))} for b, t in zip(betas, thresholds)
-    ]
-    rescaled_frequencies = None
-    if rescaled:
-        rescaled_frequencies = [
-            {"beta": b, "threshold": t, "frequency": float(np.mean(smin_rescaled <= t))}
-            for b, t in zip(betas, rescaled_thresholds)
-        ]
-    summary = dict(_base_summary(smin))
-    summary.update({"frequencies": frequencies, "rescaled_frequencies": rescaled_frequencies})
-    return ProbeResult(model, n, int(trials), "smallest_singular_value", tuple(float(x) for x in smin), summary)
+    measures = (lambda g: smallest_singular_value(d + g), lambda g: smallest_singular_value(d + delta * g))
+    smin, *smin_scaled = _probe_values(model, n, trials, seed, 0, *measures[: 1 + rescaled])
+    summary = {"frequencies": plain(smin), "rescaled_frequencies": scaled(*smin_scaled) if rescaled else None}
+    return _result(model, n, "smallest_singular_value", smin, **summary)

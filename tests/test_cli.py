@@ -2,6 +2,7 @@
 
 import csv
 import glob
+import hashlib
 import json
 import math
 import re
@@ -127,6 +128,56 @@ def test_mc_probe_eps_flag(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "eps_hat = unavailable" not in out
+
+
+def test_probe_eps_accepts_every_delta_that_mc_accepts(capsys):
+    # delta sits just under N^-gamma = 1e-4, inside the window gate's relative slack of 1e-12.
+    argv = ["mc", "--matrix", "jordan", "--n", "100", "--alpha", "0.5", "--gamma", "2",
+            "--delta", "9.9999999999990e-05", "--trials", "3"]
+    assert cli.main(argv) == 0
+    plain = capsys.readouterr().out.splitlines()
+    assert cli.main([*argv, "--probe-eps"]) == 0
+    probed = capsys.readouterr().out.splitlines()
+    assert [line for line in plain if not line.startswith("eps_hat = ")] == [
+        line for line in probed if not line.startswith("eps_hat = ")
+    ]
+    assert "eps_hat = unavailable" in plain and "eps_hat = 0.0" in probed
+
+
+def test_mc_probe_eps_hat_is_pinned(tmp_path, capsys):
+    # Taken before the probe stopped measuring s_min(A + G): 3 of 7 draws fall under N^-(gamma + beta).
+    payload = {**HOSTILE_BASE, "trials": 7, "seed": 11}
+    payload["params"] = {**HOSTILE_BASE["params"], "tau": 10.0, "beta": 0.25}
+    path = tmp_path / "eps.json"
+    path.write_text(json.dumps(payload))
+    assert cli.main(["mc", "--config", str(path), "--probe-eps"]) == 0
+    out = capsys.readouterr().out
+    assert "eps_hat = 0.42857142857142855" in out.splitlines()
+
+
+# sha256 of probe-noise --n 24 --trials 100 --n-list 8,16 --beta-list 0.5,1, taken before the three
+# probes shared one draw loop.
+PROBE_NOISE_SHA256 = {
+    "probes.csv": "beecd06e16b621e7d467855ef93d7fc1af3542cf65fa3f0bb17e9338b6558b06",
+    "summary.json": "a1b7956f7788826f43938e468758dd7f935f0bd9bfdd19358e29416acdea2a98",
+}
+
+
+def test_probe_noise_artifacts_are_pinned(tmp_path, capsys):
+    argv = ["probe-noise", "--n", "24", "--trials", "100", "--n-list", "8,16", "--beta-list", "0.5,1"]
+    assert cli.main([*argv, "--out", str(tmp_path / "p")]) == 0
+    capsys.readouterr()
+    for suffix, digest in PROBE_NOISE_SHA256.items():
+        assert hashlib.sha256((tmp_path / f"p_{suffix}").read_bytes()).hexdigest() == digest
+
+
+def test_unallocatable_size_exits_three(capsys):
+    # 1.42 PiB exceeds any user address space, so the allocation fails at once, touching no page.
+    assert cli.main(["mc", "--matrix", "jordan", "--n", "10000000", "--delta", "0", "--trials", "1"]) == 3
+    err = capsys.readouterr().err
+    assert "configuration error: Unable to allocate 1.42 PiB" in err
+    assert "(10000000, 10000000)" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -36,11 +36,11 @@ from logdet_equiv import (
     write_matrix_csv,
     write_results,
 )
-from logdet_equiv import ensembles, experiments, grushin
+from logdet_equiv import ensembles, experiments, grushin, noise
 from logdet_equiv.experiments import FIELD_COLUMNS, PROBE_COLUMNS, RECORD_COLUMNS
 from logdet_equiv.grushin import NEUMANN_TERMS, build_grushin
 from logdet_equiv.linalg import log_abs_det, operator_norm, smallest_singular_value
-from logdet_equiv.noise import markov_tail_check, norm_growth_probe, sample
+from logdet_equiv.noise import anti_concentration_probe, markov_tail_check, norm_growth_probe, sample
 
 from helpers import full_depth_neumann_blocks
 
@@ -235,6 +235,24 @@ def test_theorem2_probe_eps_fills_full_floor():
     # Without the probe the full floor is explicitly unavailable.
     _, summary = run_theorem2(single_config(trials=6))
     assert summary["eps_hat"] is None and summary["floor_full"] is None
+
+
+def test_theorem2_probe_takes_one_svd_per_trial(monkeypatch):
+    config = single_config(trials=6, probe_eps=True, params=ParamConfig(alpha=1.0, gamma=4.0, delta=1e-4, beta=0.25))
+    calls = []
+
+    def counted(a):
+        calls.append(a.shape)
+        return smallest_singular_value(a)
+
+    monkeypatch.setattr(noise, "smallest_singular_value", counted)
+    _, summary = run_theorem2(config)
+    # s_min(A + delta G) only: the probe no longer measures s_min(A + G), which no summary reads.
+    assert calls == [(12, 12)] * 6
+    monkeypatch.undo()
+    seed = substream_seed(config.seed, experiments.EPS_PROBE_BLOCK)
+    probe = anti_concentration_probe(realize(config.matrix), config.model, 6, [0.25], seed, delta=1e-4, gamma=4.0)
+    assert 0.0 < summary["eps_hat"] == probe.summary["rescaled_frequencies"][0]["frequency"] < 1.0
 
 
 def test_error_bound_monotone_in_delta():
