@@ -14,6 +14,10 @@ field
     The log-potential map ``z -> (1/N) log |det (z I - A + delta G)|`` over a
     rectangular grid (:func:`log_potential_field`).
 
+Workers: ``workers > 1`` runs one thread pool over the trials of a single run
+or sweep step, or over the grid points of a field run, each point's trials in
+turn.  Each worker draws its noise into one buffer kept while the run lasts.
+
 Reproducibility: trial ``k`` of work unit ``b`` (sweep step or grid point;
 0 in single mode) always draws from ``substream_seed(seed, b, k)``, so output
 is byte-identical for any worker count at a fixed BLAS thread count, and a
@@ -305,9 +309,10 @@ def _trial(
     and are taken only when ``diagnostics`` is set; otherwise they are ``math.nan``.
 
     ``G`` is drawn into this thread's ``N x N`` buffer in ``buffers`` (a
-    ``threading.local`` that one run owns, so the buffers go when the run
-    returns), or into a fresh array without it, and turned into ``A + delta G``
-    in place (bitwise ``a + delta * g``)."""
+    ``threading.local`` that one run owns: one buffer per worker for the whole
+    run, grid points included, gone when the run returns), or into a fresh
+    array without it, and turned into ``A + delta G`` in place (bitwise
+    ``a + delta * g``)."""
     n = a.shape[0]
     g = getattr(buffers, "g", None)
     if buffers is not None and (g is None or g.shape != (n, n)):
@@ -341,14 +346,12 @@ def _trial_records(config, a, delta, block, rhs, alpha, m, error_bound, workers,
     return _map_indexed(one, config.trials, workers)
 
 
-def _resolve_single(config: ExperimentConfig, driver: str):
-    """Mode gate, then realize -> spectrum -> resolve on the configured matrix."""
-    if config.mode != "single":
-        raise ConfigError(f"{driver} needs mode 'single', got {config.mode!r}")
-    a = realize(config.matrix)
-    n = int(config.matrix.n)
-    singvals = spectrum_of(config.matrix, a)
-    return a, n, singvals, config.params.resolve(singvals, n)
+def _cutoff(spec: MatrixSpec, a: np.ndarray, params: ParamConfig):
+    """The cutoff step of ``a = realize(spec)``: ``(params, rhs, below_floor)``, the resolved
+    parameters, the cutoff sum and whether ``alpha`` lies under the spectrum's SVD floor."""
+    singvals = spectrum_of(spec, a)
+    resolved = params.resolve(singvals, int(spec.n))
+    return resolved, deterministic_equivalent(singvals, resolved.alpha), resolved.alpha < svd_floor(spec, singvals)
 
 
 def run_theorem2(config: ExperimentConfig, workers: int = 1, diagnostics: bool = False):
@@ -364,7 +367,10 @@ def run_theorem2(config: ExperimentConfig, workers: int = 1, diagnostics: bool =
     true when ``alpha`` lies under :func:`~logdet_equiv.ensembles.svd_floor`,
     so that ``M`` and ``rhs`` read roundoff of a dense SVD.
     """
-    a, n, singvals, params = _resolve_single(config, "run_theorem2")
+    if config.mode != "single":
+        raise ConfigError(f"run_theorem2 needs mode 'single', got {config.mode!r}")
+    a, n = realize(config.matrix), int(config.matrix.n)
+    params, rhs, below_floor = _cutoff(config.matrix, a, config.params)
     if params.delta > 0:
         lo, hi = admissible_delta_range(params.alpha, params.gamma, params.kappa1, params.tau, n, params.headroom)
         if lo > hi:
@@ -373,7 +379,6 @@ def run_theorem2(config: ExperimentConfig, workers: int = 1, diagnostics: bool =
             )
         if not lo * (1 - 1e-12) <= params.delta <= hi * (1 + 1e-12):
             raise ConfigError(f"delta = {params.delta:.4g} outside the admissible window [{lo:.4g}, {hi:.4g}]")
-    rhs = deterministic_equivalent(singvals, params.alpha)
 
     eps_hat = None
     if config.probe_eps and params.delta > 0:
@@ -399,7 +404,7 @@ def run_theorem2(config: ExperimentConfig, workers: int = 1, diagnostics: bool =
         "C": params.C,
         "outside_theorem": params.outside_theorem(),
         "rhs": rhs,
-        "below_svd_floor": params.alpha < svd_floor(config.matrix, singvals),
+        "below_svd_floor": below_floor,
         "error_bound": budget.error_bound,
         "success_frequency": float(np.mean([r.within_budget for r in records])),
         "floor_partial": 1.0 - 1.0 / params.tau,
@@ -511,7 +516,10 @@ def run_grushin_suite(config: ExperimentConfig, workers: int = 1):
     Returns ``(checks, summary)``: each check is a JSON-ready dict
     ``{check, n, lhs, rhs, bound, pass, trial}``.
     """
-    a, n, _, params = _resolve_single(config, "run_grushin_suite")
+    if config.mode != "single":
+        raise ConfigError(f"run_grushin_suite needs mode 'single', got {config.mode!r}")
+    a, n = realize(config.matrix), int(config.matrix.n)
+    params, _, _ = _cutoff(config.matrix, a, config.params)
     sys, blocks = build_grushin(a, params.m)
     # count_below puts alpha in [t_m, t_{m+1}) by construction, the window
     # the unperturbed norm estimates require.
@@ -582,11 +590,12 @@ def run_grushin_suite(config: ExperimentConfig, workers: int = 1):
 def log_potential_field(config: ExperimentConfig, workers: int = 1):
     """Evaluate the log-potential field over the configured z-grid.
 
-    For each grid point ``z`` the matrix ``z I - A`` gets its own cutoff
-    resolution (fresh ``alpha`` when auto) and its own noise substreams, so
-    one grid point reproduces a single-mode run on the shifted matrix.
-    ``below_svd_floor`` is true when any grid point's ``alpha`` lies under the
-    floor of its spectrum, as in :func:`run_theorem2`.
+    For each grid point ``z`` the matrix ``z I - A`` gets the cutoff step of
+    :func:`run_theorem2` (fresh ``alpha`` when auto) and its own noise
+    substreams, so one grid point reproduces a single-mode run on the shifted
+    matrix.  ``workers`` share out whole grid points, each running its trials
+    in turn.  ``below_svd_floor`` is true when any grid point's ``alpha`` lies
+    under the floor of its spectrum, as in :func:`run_theorem2`.
     """
     if config.mode != "field":
         raise ConfigError(f"log_potential_field needs mode 'field', got {config.mode!r}")
@@ -595,32 +604,20 @@ def log_potential_field(config: ExperimentConfig, workers: int = 1):
     eye = np.eye(n, dtype=np.complex128)
     delta = config.params.delta
     points = config.z_grid.points()
-    field_points: list[FieldPoint] = []
-    below_floor = False
     buffers = threading.local()
-    for p, z in enumerate(points):
+
+    def point(p: int) -> tuple[FieldPoint, bool]:
+        z = points[p]
         a_z = z * eye - base
-        spec_z = replace(config.matrix, shift=z)
-        singvals = spectrum_of(spec_z, a_z)
         try:
-            params = config.params.resolve(singvals, n)
+            _, rhs, below_floor = _cutoff(replace(config.matrix, shift=z), a_z, config.params)
         except ConfigError as exc:
             raise ConfigError(f"grid point {z}: {exc}") from exc
-        rhs = deterministic_equivalent(singvals, params.alpha)
-        below_floor = below_floor or params.alpha < svd_floor(spec_z, singvals)
-        values = np.array(
-            _map_indexed(lambda k: _trial(config, a_z, delta, p, k, buffers=buffers)[1], config.trials, workers)
-        )
-        field_points.append(
-            FieldPoint(
-                re_z=float(z.real),
-                im_z=float(z.imag),
-                rhs=rhs,
-                lhs_mean=float(values.mean()),
-                lhs_sd=float(values.std(ddof=1)) if values.size > 1 else 0.0,
-                trials=config.trials,
-            )
-        )
+        values = np.array([_trial(config, a_z, delta, p, k, buffers=buffers)[1] for k in range(config.trials)])
+        sd = float(values.std(ddof=1)) if values.size > 1 else 0.0
+        return FieldPoint(float(z.real), float(z.imag), rhs, float(values.mean()), sd, config.trials), below_floor
+
+    field_points, below = zip(*_map_indexed(point, len(points), workers))
     gaps = [abs(fp.lhs_mean - fp.rhs) for fp in field_points if math.isfinite(fp.lhs_mean)]
     summary = {
         "mode": "field",
@@ -628,14 +625,14 @@ def log_potential_field(config: ExperimentConfig, workers: int = 1):
         "model": config.model,
         "trials": config.trials,
         "delta": delta,
-        "points": len(field_points),
+        "points": len(points),
         "steps": config.z_grid.steps,
         "mean_abs_gap": float(np.mean(gaps)) if gaps else None,
         "max_abs_gap": float(np.max(gaps)) if gaps else None,
-        "below_svd_floor": below_floor,
+        "below_svd_floor": any(below),
         "config": config_to_dict(config),
     }
-    return field_points, summary
+    return list(field_points), summary
 
 
 # ---------------------------------------------------------------------------

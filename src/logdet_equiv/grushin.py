@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -101,28 +102,6 @@ class CheckRecord:
         }
 
 
-class _cached:
-    """An attribute computed on first read and then kept in the instance ``__dict__``.
-
-    ``functools.cached_property`` does the same but, on Python <= 3.11, holds
-    one lock for all instances while it computes, which would make trials on a
-    thread pool wait for each other's SVDs and LUs.
-    """
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.__doc__ = fn.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.fn(obj)
-        return value
-
-
 def _leq(check: str, n: int | None, lhs: float, rhs: float, slack: float) -> CheckRecord:
     return CheckRecord(check, n, float(lhs), float(rhs), slack, bool(lhs <= rhs + slack))
 
@@ -151,17 +130,17 @@ class GrushinSystem:
         """Singular values kept out of the deflated space (ascending)."""
         return self.svd.t[self.m:]
 
-    @_cached
+    @cached_property
     def blocks(self) -> InverseBlocks:
         """Closed-form inverse blocks of the assembled system, built once."""
         return inverse_blocks(self)
 
-    @_cached
+    @cached_property
     def assembled_logdet(self) -> float:
         """``log |det P|`` of :func:`assemble`, taken once."""
         return log_abs_det(assemble(self))
 
-    @_cached
+    @cached_property
     def injection_norm(self) -> float:
         """``||R_plus|| ||R_minus||``, taken once."""
         return operator_norm(self.r_plus) * operator_norm(self.r_minus)
@@ -179,7 +158,7 @@ class InverseBlocks:
     def assembled(self) -> np.ndarray:
         return np.block([[self.e, self.e_plus], [self.e_minus, self.e_minus_plus]])
 
-    @_cached
+    @cached_property
     def norms(self) -> tuple[float, float, float]:
         """``(||E||, ||E_plus||, ||E_minus||)``, taken once."""
         return operator_norm(self.e), operator_norm(self.e_plus), operator_norm(self.e_minus)
@@ -203,7 +182,7 @@ class PerturbedSystem:
         """Whether ``delta * ||G|| / alpha <= 1/2`` (Neumann regime)."""
         return self.contraction <= 0.5
 
-    @_cached
+    @cached_property
     def assembled_logdet(self) -> float:
         """``log |det P^d|`` of :func:`assemble_perturbed`, taken on first use."""
         return log_abs_det(assemble_perturbed(self))

@@ -3,6 +3,7 @@
 import json
 import math
 import pathlib
+import re
 import sys
 import threading
 import tracemalloc
@@ -535,6 +536,60 @@ def test_field_points_do_not_depend_on_worker_count():
         a_z = z * np.eye(16, dtype=np.complex128) - a
         values = [_fresh_trial(config, a_z, 1e-6, p, k)[0] for k in range(config.trials)]
         assert point.lhs_mean == float(np.mean(values))
+
+
+def test_field_run_opens_one_pool_and_one_buffer_per_worker(monkeypatch):
+    pools, outs = [], {}
+
+    class CountedPool(experiments.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    def counted_sample(model, n, seed, out=None):
+        outs[id(out)] = out  # kept alive, so no id is reused
+        return sample(model, n, seed, out)
+
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", CountedPool)
+    monkeypatch.setattr(experiments, "sample", counted_sample)
+    config = field_config(z_grid=ZGrid(re_min=1.5, re_max=2.5, im_min=-0.5, im_max=0.5, steps=3))
+    points, _ = log_potential_field(config, workers=2)
+    assert len(points) == 9
+    assert len(pools) == 1
+    assert None not in outs and 1 <= len(outs) <= 2
+
+
+def test_field_points_agree_under_thread_stress():
+    # More workers than cores and a short switch interval: grid points resolve
+    # and draw on the pool's threads, sharing the memoized spectra.
+    config = field_config(
+        matrix=MatrixSpec(kind="jordan", n=16),
+        params=ParamConfig(alpha="auto", delta=1e-6),
+        z_grid=ZGrid(re_min=-1.25, re_max=1.0, im_min=-1.0, im_max=1.25, steps=4),
+    )
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        stressed = log_potential_field(config, workers=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert stressed == log_potential_field(config, workers=1)
+
+
+def test_field_error_on_a_pool_thread_names_the_first_bad_point():
+    # The zero matrix shifted by z has every singular value |z|, so no auto
+    # cutoff exists where |z| <= C N^-L = 32^-2: the inner 3 x 3 block of
+    # this 5 x 5 grid, whose first point comes seventh in grid order.
+    config = field_config(
+        params=ParamConfig(alpha="auto", delta=0.0),
+        z_grid=ZGrid(re_min=-1e-3, re_max=1e-3, im_min=-1e-3, im_max=1e-3, steps=5),
+    )
+    points = config.z_grid.points()
+    bad = [z for z in points if abs(z) <= 32.0**-2]
+    assert len(bad) == 9 and points.index(bad[0]) == 6
+    for workers in (1, 2):
+        with pytest.raises(ConfigError, match=re.escape(f"grid point {bad[0]}: auto cutoff search failed")):
+            log_potential_field(config, workers=workers)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Smoke tests for the scripts under scripts/."""
 
 import importlib.util
+import json
 import math
 import pathlib
 import sys
@@ -41,3 +42,36 @@ def test_delta_budget_sweep_prints_one_row_per_point(monkeypatch, capsys):
     rows = lines[2:]
     assert len(rows) == 2
     assert all(len(row.split()) == 5 for row in rows)
+
+
+def test_run_benchmarks_runs_each_config_with_its_command(monkeypatch, capsys, tmp_path):
+    single = {
+        "matrix": {"kind": "diagonal", "n": 12, "diag": [[[2.0, 0.0], 9], [[0.0, 0.0], 3]]},
+        "model": "complex_ginibre",
+        "params": {"alpha": 1.0, "gamma": 4.0, "delta": 1e-4},
+        "trials": 3,
+        "mode": "single",
+    }
+    configs = {
+        "mc_small": single,
+        "grushin_small": single,
+        "field_small": {
+            **single,
+            "matrix": {"kind": "zero", "n": 4},
+            "mode": "field",
+            "z_grid": {"re_min": 1.5, "re_max": 2.5, "im_min": 0.0, "im_max": 0.0, "steps": 2},
+        },
+    }
+    for name, config in configs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps({**config, "output": str(tmp_path / "out" / name)}))
+    argv = ["run_benchmarks.py", "--configs", str(tmp_path / "*.json"), "--trials", "1", "--workers", "1"]
+    monkeypatch.setattr(sys, "argv", argv)
+    assert load_script("run_benchmarks").main() == 0
+    headers = [line for line in capsys.readouterr().out.split("\n") if line.startswith("== ")]
+    assert headers == [
+        f"== {tmp_path / 'field_small.json'} (field) ==",
+        f"== {tmp_path / 'grushin_small.json'} (grushin-verify) ==",
+        f"== {tmp_path / 'mc_small.json'} (mc) ==",
+    ]
+    artifacts = {"field_small_field.csv", "grushin_small_checks.json", "mc_small_records.csv"}
+    assert artifacts <= {p.name for p in (tmp_path / "out").iterdir()}
