@@ -69,7 +69,7 @@ from .grushin import (
     schur_logdet,
     assemble,
 )
-from .linalg import log_abs_det, operator_norm, smallest_singular_value
+from .linalg import NumericalError, log_abs_det, operator_norm, smallest_singular_value
 from .noise import NOISE_KINDS, NormGrowthFit, ProbeResult, _rescaled_frequencies, sample, substream_seed
 
 __all__ = [
@@ -92,25 +92,6 @@ __all__ = [
     "config_to_dict",
     "config_from_dict",
 ]
-
-RECORD_COLUMNS = (
-    "trial",
-    "seed_used",
-    "N",
-    "delta",
-    "alpha",
-    "M",
-    "lhs",
-    "rhs",
-    "error",
-    "error_bound",
-    "within_budget",
-    "norm_G",
-    "s_min_perturbed",
-    "contraction",
-)
-FIELD_COLUMNS = ("re_z", "im_z", "rhs", "lhs_mean", "lhs_sd", "trials")
-PROBE_COLUMNS = ("model", "N", "trial", "stat_name", "value")
 
 # Substream block reserved for the optional anti-concentration probe, far
 # outside the range of sweep/grid block indices.
@@ -269,6 +250,13 @@ class FieldPoint:
     trials: int
 
 
+# A record type's CSV header is its field names; three keep the paper's capitals.
+_CAPITALS = {"n": "N", "m": "M", "norm_g": "norm_G"}
+RECORD_COLUMNS = tuple(_CAPITALS.get(f.name, f.name) for f in fields(TrialRecord))
+FIELD_COLUMNS = tuple(f.name for f in fields(FieldPoint))
+PROBE_COLUMNS = ("model", "N", "trial", "stat_name", "value")
+
+
 def _map_indexed(fn, count: int, workers: int) -> list:
     """Apply ``fn`` to 0..count-1, optionally on a thread pool, order preserved."""
     if workers and workers > 1:
@@ -312,16 +300,21 @@ def _trial(
     ``threading.local`` that one run owns: one buffer per worker for the whole
     run, grid points included, gone when the run returns), or into a fresh
     array without it, and turned into ``A + delta G`` in place (bitwise
-    ``a + delta * g``)."""
+    ``a + delta * g``).  Raises NumericalError naming ``delta`` when
+    ``A + delta G`` overflows a float."""
     n = a.shape[0]
     g = getattr(buffers, "g", None)
     if buffers is not None and (g is None or g.shape != (n, n)):
         g = buffers.g = np.empty((n, n), dtype=np.complex128)
     sub, g = _draw(config, n, block, k, g)
     norm_g = operator_norm(g) if diagnostics else math.nan
-    g *= delta
-    g += a
-    lhs = log_abs_det(g) / n
+    with np.errstate(over="ignore", invalid="ignore"):
+        g *= delta
+        g += a
+        lhs = log_abs_det(g) / n
+    # slogdet gives NaN only for a non-finite input: delta G overflowed.
+    if math.isnan(lhs):
+        raise NumericalError(f"A + delta G overflows a float at delta = {delta:g}")
     if not diagnostics:
         return sub, lhs, math.nan, math.nan
     return sub, lhs, norm_g, smallest_singular_value(g)
@@ -663,11 +656,16 @@ def _jsonable(obj):
     return obj
 
 
-def _write_csv(path: str, header, rows) -> None:
+def _open_for_write(path: str, newline: str | None = None):
+    """``path`` opened for writing UTF-8 text, its directory made first."""
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    return open(path, "w", encoding="utf-8", newline=newline)
+
+
+def _write_csv(path: str, header, rows) -> None:
+    with _open_for_write(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
@@ -675,10 +673,7 @@ def _write_csv(path: str, header, rows) -> None:
 
 
 def _write_json(path: str, payload) -> None:
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open_for_write(path) as fh:
         json.dump(_jsonable(payload), fh, indent=2)
         fh.write("\n")
 

@@ -23,7 +23,7 @@ bounds the blocks satisfy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -92,14 +92,8 @@ class CheckRecord:
     passed: bool
 
     def as_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "n": self.n,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "bound": self.bound,
-            "pass": self.passed,
-        }
+        """The ``checks.json`` form: every field in order, ``passed`` written as ``pass``."""
+        return {"pass" if f.name == "passed" else f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _leq(check: str, n: int | None, lhs: float, rhs: float, slack: float) -> CheckRecord:

@@ -144,11 +144,9 @@ def fit_growth(n_list, mean_norms) -> tuple[float, float, tuple]:
     return float(slope), float(intercept), tuple(float(r) for r in residuals)
 
 
-def _probe_values(model: str, n: int, trials: int, seed: int, block: int, *measures) -> np.ndarray:
-    """Row ``i`` holds ``measures[i](G)`` for each draw ``G = sample(model, n, substream_seed(seed, block, k))``,
-    ``k < trials``: every measure reads the same draws."""
-    draws = (sample(model, n, substream_seed(seed, block, k)) for k in range(trials))
-    return np.array([[measure(g) for measure in measures] for g in draws], dtype=float).T.copy()
+def _probe_values(model: str, n: int, trials: int, seed: int, block: int, measure) -> np.ndarray:
+    """``measure(G)`` for each draw ``G = sample(model, n, substream_seed(seed, block, k))``, ``k < trials``."""
+    return np.array([measure(sample(model, n, substream_seed(seed, block, k))) for k in range(trials)], dtype=float)
 
 
 def _result(model: str, n: int, stat_name: str, values: np.ndarray, **extra) -> ProbeResult:
@@ -170,7 +168,7 @@ def norm_growth_probe(model: str, n_list, trials: int, seed: int) -> NormGrowthF
     if trials < 1:
         raise ValueError("trials must be >= 1")
     per_n = [
-        _result(model, n, "operator_norm", _probe_values(model, n, trials, seed, block, operator_norm)[0])
+        _result(model, n, "operator_norm", _probe_values(model, n, trials, seed, block, operator_norm))
         for block, n in enumerate(sizes)
     ]
     slope, intercept, residuals = fit_growth(sizes, [r.summary["mean"] for r in per_n])
@@ -192,7 +190,7 @@ def markov_tail_check(model: str, n: int, trials: int, tau_list, seed: int = 0) 
     taus = [float(t) for t in tau_list]
     if any(t <= 0 for t in taus):
         raise ValueError("tau values must be positive")
-    norms = _probe_values(model, n, trials, seed, 0, operator_norm)[0]
+    norms = _probe_values(model, n, trials, seed, 0, operator_norm)
     mean_norm = float(norms.mean())
     c_hat = mean_norm / float(n) ** MARKOV_KAPPA1
     checks = []
@@ -215,10 +213,10 @@ def _frequencies(n: int, betas, gamma: float | None = None):
 
 
 def _rescaled_frequencies(d, model: str, trials: int, betas, seed: int, delta: float, gamma: float) -> list:
-    """:func:`anti_concentration_probe`'s ``rescaled_frequencies`` alone, at one SVD per trial: only
+    """:func:`anti_concentration_probe`'s ``rescaled_frequencies``, at one SVD per trial: only
     ``s_min(D + delta G)`` is measured, for a ``delta`` the caller has checked."""
     scaled = _frequencies(d.shape[0], betas, gamma)
-    (smin,) = _probe_values(model, d.shape[0], trials, seed, 0, lambda g: smallest_singular_value(d + delta * g))
+    smin = _probe_values(model, d.shape[0], trials, seed, 0, lambda g: smallest_singular_value(d + delta * g))
     return scaled(smin)
 
 
@@ -236,7 +234,8 @@ def anti_concentration_probe(
     For each ``beta`` reports the empirical frequency of
     ``s_min(D + G) <= N**-beta``.  When both ``delta`` and ``gamma`` are
     given (with ``delta >= N**-gamma``), also reports the rescaled variant:
-    the frequency of ``s_min(D + delta G) <= N**-(gamma + beta)``, on the same draws.
+    the frequency of ``s_min(D + delta G) <= N**-(gamma + beta)``, with each ``G``
+    redrawn from the same seeds as the plain variant's.
 
     ``trials = 0`` is legal and yields undefined (None) frequencies.
     """
@@ -254,11 +253,10 @@ def anti_concentration_probe(
         floor = _size_power(n, "gamma", gamma, -1.0)
         if delta < floor:
             raise ValueError(f"rescaled variant assumes delta >= N^-gamma = {floor:.3g}")
-        scaled = _frequencies(n, betas, gamma)
+        _frequencies(n, betas, gamma)  # names an overflowing N^-(gamma + beta) before any draw
     if trials == 0:
         summary = {"mean": None, "quantiles": None, "frequencies": None, "rescaled_frequencies": None}
         return ProbeResult(model, n, 0, "smallest_singular_value", (), summary)
-    measures = (lambda g: smallest_singular_value(d + g), lambda g: smallest_singular_value(d + delta * g))
-    smin, *smin_scaled = _probe_values(model, n, trials, seed, 0, *measures[: 1 + rescaled])
-    summary = {"frequencies": plain(smin), "rescaled_frequencies": scaled(*smin_scaled) if rescaled else None}
-    return _result(model, n, "smallest_singular_value", smin, **summary)
+    smin = _probe_values(model, n, trials, seed, 0, lambda g: smallest_singular_value(d + g))
+    scaled = _rescaled_frequencies(d, model, trials, betas, seed, delta, gamma) if rescaled else None
+    return _result(model, n, "smallest_singular_value", smin, frequencies=plain(smin), rescaled_frequencies=scaled)

@@ -332,6 +332,8 @@ HOSTILE_BASE = {
         (None, "probe_eps", "no"),
         ("params", "gamma", -1000.0),
         ("params", "L", -400.0),
+        ("params", "C", -1.0),
+        ("params", "headroom", 2.0),
     ],
 )
 def test_hostile_config_values_exit_three(tmp_path, capsys, section, key, value):
@@ -743,4 +745,29 @@ def test_a_delta_that_overflows_the_suite_exits_three(capsys):
         assert cli.main(argv) == 3
     err = capsys.readouterr().err
     assert "configuration error: SVD did not converge" in err
+    assert "Traceback" not in err
+
+
+def test_a_delta_that_overflows_a_field_exits_three(tmp_path, capsys):
+    argv = ["field", "--matrix", "jordan", "--n", "8", "--delta", "1e308", "--trials", "2", "--re-min", "-1",
+            "--re-max", "1", "--im-min", "-1", "--im-max", "1", "--steps", "2", "--out", str(tmp_path / "f")]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert err == "configuration error: A + delta G overflows a float at delta = 1e+308\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mc", "--config", "{tmp}"],
+        ["mc", "--matrix", "jordan", "--n", "8", "--delta", "0", "--trials", "2", "--out", "{tmp}/file/run"],
+        ["equiv", "--matrix", "file:{tmp}/missing.csv", "--n", "4"],
+    ],
+)
+def test_io_errors_exit_three(tmp_path, capsys, argv):
+    (tmp_path / "file").write_text("")
+    assert cli.main([arg.format(tmp=tmp_path) for arg in argv]) == 3
+    err = capsys.readouterr().err
+    assert "i/o error: " in err
     assert "Traceback" not in err

@@ -37,7 +37,8 @@ from logdet_equiv import (
     write_matrix_csv,
     write_results,
 )
-from logdet_equiv import ensembles, experiments, grushin, noise
+import logdet_equiv
+from logdet_equiv import ensembles, equivalents, experiments, grushin, linalg, noise
 from logdet_equiv.experiments import FIELD_COLUMNS, PROBE_COLUMNS, RECORD_COLUMNS
 from logdet_equiv.grushin import NEUMANN_TERMS, build_grushin
 from logdet_equiv.linalg import log_abs_det, operator_norm, smallest_singular_value
@@ -644,6 +645,26 @@ def test_write_results_growth_fits_go_to_the_probes_csv(tmp_path):
     lines = (tmp_path / "growth_probes.csv").read_text().strip().split("\n")
     assert lines[0] == ",".join(PROBE_COLUMNS)
     assert len(lines) == 1 + 6
+
+
+def test_artifact_layouts_are_pinned(tmp_path):
+    write_results([], tmp_path / "empty")
+    assert (tmp_path / "empty_records.csv").read_text() == (
+        "trial,seed_used,N,delta,alpha,M,lhs,rhs,error,error_bound,within_budget,norm_G,s_min_perturbed,contraction\n"
+    )
+    points, _ = log_potential_field(field_config(z_grid=ZGrid(0.5, 0.5, 0.0, 0.0, 1)))
+    write_results(points, tmp_path / "map")
+    assert (tmp_path / "map_field.csv").read_text().split("\n")[0] == "re_z,im_z,rhs,lhs_mean,lhs_sd,trials"
+    checks, _ = run_grushin_suite(single_config(trials=1))
+    write_results(checks, tmp_path / "suite")
+    payload = json.loads((tmp_path / "suite_checks.json").read_text())
+    assert {tuple(check) for check in payload} == {("check", "n", "lhs", "rhs", "bound", "pass", "trial")}
+
+
+def test_every_module_export_is_a_package_export():
+    for module in (linalg, grushin, equivalents, noise, ensembles, experiments):
+        for name in module.__all__:
+            assert getattr(logdet_equiv, name, None) is getattr(module, name), f"{module.__name__}.{name}"
 
 
 def test_sweep_record_none_cells_serialize_empty(tmp_path):
