@@ -10,11 +10,13 @@ near the ceiling.
 """
 
 import argparse
+import sys
 from dataclasses import replace
 
 import numpy as np
 
-from logdet_equiv import admissible_delta_range, read_config, run_theorem2, spectrum_of
+from logdet_equiv import ConfigError, read_config, run_theorem2, spectrum_of
+from logdet_equiv.experiments import _admissible_window, _cutoff
 
 
 def main() -> None:
@@ -27,13 +29,8 @@ def main() -> None:
 
     config = replace(read_config(args.config), trials=args.trials)
     # Resolve once just to locate the window; each sweep point re-resolves.
-    singvals = spectrum_of(config.matrix)
-    params = config.params.resolve(singvals, config.matrix.n)
-    lo, hi = admissible_delta_range(
-        params.alpha, params.gamma, params.kappa1, params.tau, config.matrix.n, params.headroom
-    )
-    if lo > hi:
-        raise SystemExit(f"admissible window is empty: [{lo:.3g}, {hi:.3g}]")
+    params, _, _ = _cutoff(config.matrix, spectrum_of(config.matrix), config.params)
+    lo, hi = _admissible_window(params, config.matrix.n)
     print(f"N = {config.matrix.n}, alpha = {params.alpha}, window = [{lo:.3g}, {hi:.3g}]")
     print(f"{'delta':>12}  {'median_err':>12}  {'q95_err':>12}  {'budget':>12}  {'within':>7}")
     for delta in np.geomspace(lo, hi, args.points):
@@ -47,4 +44,8 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except ConfigError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        sys.exit(3)

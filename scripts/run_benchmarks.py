@@ -3,10 +3,11 @@
 
 import argparse
 import glob
+import os
 import sys
 import time
 
-from logdet_equiv import cli, read_config
+from logdet_equiv import ConfigError, cli, read_config
 
 
 def main() -> int:
@@ -25,7 +26,7 @@ def main() -> int:
     for path in paths:
         config = read_config(path)
         command = {"single": "mc", "sweep": "sweep", "field": "field"}[config.mode]
-        if "grushin" in path:
+        if "grushin" in os.path.basename(path):
             command = "grushin-verify"
         argv = [command, "--config", path, "--workers", str(args.workers)]
         if args.trials is not None:
@@ -39,4 +40,8 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except ConfigError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        sys.exit(3)

@@ -16,11 +16,13 @@ import math
 import os
 import sys
 
-from .ensembles import parse_matrix_arg, realize, spectrum_of, svd_floor
-from .equivalents import CONVENTIONS, bpz_equivalent, deterministic_equivalent, n_star
+from .ensembles import parse_matrix_arg, realize, spectrum_of
+from .equivalents import CONVENTIONS
 from .experiments import (
     ConfigError,
     ExperimentConfig,
+    _cutoff,
+    _n_star_step,
     config_from_dict,
     config_to_dict,
     log_potential_field,
@@ -163,17 +165,10 @@ def _resolve_config(args, mode: str) -> ExperimentConfig:
     if mode == "sweep":
         if args.n_list is not None:
             d["N_list"] = _parse_number_list(args.n_list, int)
-        elif "N_list" not in d:
-            raise ConfigError("sweep needs --n-list or a config with N_list")
     elif mode == "field":
         grid = _given(args, GRID_FLAGS)
         if grid:
-            d["z_grid"] = grid = {**d.get("z_grid", {}), **grid}
-            missing = [k for k in GRID_FLAGS if k not in grid]
-            if missing:
-                raise ConfigError(f"field mode is missing grid values: {missing}")
-        elif "z_grid" not in d:
-            raise ConfigError("field needs z-grid flags or a config with z_grid")
+            d["z_grid"] = {**d.get("z_grid", {}), **grid}
     else:
         d.pop("N_list", None)
         d.pop("z_grid", None)
@@ -209,21 +204,18 @@ def _cmd_equiv(args) -> int:
     _resolve_workers(args)  # checked like any subcommand's, though nothing here samples
     spec = config.matrix
     singvals = spectrum_of(spec)
-    params = config.params.resolve(singvals, spec.n)
-    cutoff_index = n_star(singvals, params.gamma, params.eta)
-    floor = svd_floor(spec, singvals)
+    params, rhs, alpha_below = _cutoff(spec, singvals, config.params)
+    cutoff_index, sums, n_star_below = _n_star_step(spec, singvals, params.gamma, params.eta)
     shown = {
         "matrix": f"{spec.kind} N={spec.n}" + (f" shift={spec.shift}" if spec.shift is not None else ""),
         "alpha": params.alpha,
         "M": params.m,
         "nu_N": params.nu_n,
-        "rhs": deterministic_equivalent(singvals, params.alpha),
+        "rhs": rhs,
         f"N_star(gamma={params.gamma}, eta={params.eta})": cutoff_index,
-        "bpz_inclusive": bpz_equivalent(singvals, cutoff_index, "inclusive"),
-        "bpz_drop_all_small": bpz_equivalent(singvals, cutoff_index, "drop_all_small"),
+        **{f"bpz_{c}": value for c, value in sums.items()},
     }
-    below = params.alpha < floor or singvals[spec.n - cutoff_index] < floor
-    _print_kv({**shown, "below_svd_floor": below}, shown)
+    _print_kv({**shown, "below_svd_floor": alpha_below or n_star_below}, shown)
     return EXIT_OK
 
 

@@ -339,12 +339,28 @@ def _trial_records(config, a, delta, block, rhs, alpha, m, error_bound, workers,
     return _map_indexed(one, config.trials, workers)
 
 
-def _cutoff(spec: MatrixSpec, a: np.ndarray, params: ParamConfig):
-    """The cutoff step of ``a = realize(spec)``: ``(params, rhs, below_floor)``, the resolved
-    parameters, the cutoff sum and whether ``alpha`` lies under the spectrum's SVD floor."""
-    singvals = spectrum_of(spec, a)
+def _cutoff(spec: MatrixSpec, singvals, params: ParamConfig):
+    """The cutoff step of ``spec`` on its spectrum ``singvals``: ``(params, rhs, below_floor)``, the
+    resolved parameters, the cutoff sum and whether ``alpha`` lies under the spectrum's SVD floor."""
     resolved = params.resolve(singvals, int(spec.n))
     return resolved, deterministic_equivalent(singvals, resolved.alpha), resolved.alpha < svd_floor(spec, singvals)
+
+
+def _n_star_step(spec: MatrixSpec, singvals, gamma: float, eta: float):
+    """The ``N*`` step of ``spec`` on its spectrum ``singvals``: ``(N*, {convention: cutoff sum}, below_floor)``,
+    the last whether ``s[N - N*]``, the last value the inclusive sum reads, lies under the SVD floor."""
+    # n_star checks gamma > 1/2 and eta > 0 before a caller's N^-gamma can overflow.
+    cutoff_index = n_star(singvals, gamma, eta)
+    sums = {c: bpz_equivalent(singvals, cutoff_index, c) for c in CONVENTIONS}
+    return cutoff_index, sums, bool(singvals[int(spec.n) - cutoff_index] < svd_floor(spec, singvals))
+
+
+def _admissible_window(params: EquivalenceParams, n: int) -> tuple[float, float]:
+    """The admissible ``delta`` window ``[lo, hi]`` of ``params`` at size ``n``; ConfigError when empty."""
+    lo, hi = admissible_delta_range(params.alpha, params.gamma, params.kappa1, params.tau, n, params.headroom)
+    if lo > hi:
+        raise ConfigError(f"admissible delta window is empty: [{lo:.4g}, {hi:.4g}]; raise gamma or loosen alpha/tau")
+    return lo, hi
 
 
 def run_theorem2(config: ExperimentConfig, workers: int = 1, diagnostics: bool = False):
@@ -363,13 +379,9 @@ def run_theorem2(config: ExperimentConfig, workers: int = 1, diagnostics: bool =
     if config.mode != "single":
         raise ConfigError(f"run_theorem2 needs mode 'single', got {config.mode!r}")
     a, n = realize(config.matrix), int(config.matrix.n)
-    params, rhs, below_floor = _cutoff(config.matrix, a, config.params)
+    params, rhs, below_floor = _cutoff(config.matrix, spectrum_of(config.matrix, a), config.params)
     if params.delta > 0:
-        lo, hi = admissible_delta_range(params.alpha, params.gamma, params.kappa1, params.tau, n, params.headroom)
-        if lo > hi:
-            raise ConfigError(
-                f"admissible delta window is empty: [{lo:.4g}, {hi:.4g}]; raise gamma or loosen alpha/tau"
-            )
+        lo, hi = _admissible_window(params, n)
         if not lo * (1 - 1e-12) <= params.delta <= hi * (1 + 1e-12):
             raise ConfigError(f"delta = {params.delta:.4g} outside the admissible window [{lo:.4g}, {hi:.4g}]")
 
@@ -444,12 +456,9 @@ def run_theorem1(
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         a = realize(spec_n)
-        singvals = spectrum_of(spec_n, a)
-        # n_star checks gamma > 1/2 and eta > 0 before N^-gamma can overflow.
-        cutoff_index = n_star(singvals, gamma, eta)
+        cutoff_index, sums, below_floor = _n_star_step(spec_n, spectrum_of(spec_n, a), gamma, eta)
         delta = float(n) ** (-gamma)
-        rhs_by_convention = {c: bpz_equivalent(singvals, cutoff_index, c) for c in CONVENTIONS}
-        rhs = rhs_by_convention[convention]
+        rhs = sums[convention]
         step_records = _trial_records(
             config, a, delta, block, rhs, math.nan, cutoff_index, math.nan, workers, diagnostics
         )
@@ -462,11 +471,9 @@ def run_theorem1(
                 "N_star": cutoff_index,
                 "delta": delta,
                 "rhs": rhs,
-                "rhs_inclusive": rhs_by_convention["inclusive"],
-                "rhs_drop_all_small": rhs_by_convention["drop_all_small"],
+                **{f"rhs_{c}": value for c, value in sums.items()},
                 "flagged_infinite_rhs": flagged,
-                # s[n - N*] is the last value the inclusive sum reads.
-                "below_svd_floor": bool(singvals[n - cutoff_index] < svd_floor(spec_n, singvals)),
+                "below_svd_floor": below_floor,
                 "error_median": None if flagged else float(np.median(step_errors)),
                 "error": _quantile_block(step_errors),
             }
@@ -512,7 +519,7 @@ def run_grushin_suite(config: ExperimentConfig, workers: int = 1):
     if config.mode != "single":
         raise ConfigError(f"run_grushin_suite needs mode 'single', got {config.mode!r}")
     a, n = realize(config.matrix), int(config.matrix.n)
-    params, _, _ = _cutoff(config.matrix, a, config.params)
+    params, _, _ = _cutoff(config.matrix, spectrum_of(config.matrix, a), config.params)
     sys, blocks = build_grushin(a, params.m)
     # count_below puts alpha in [t_m, t_{m+1}) by construction, the window
     # the unperturbed norm estimates require.
@@ -601,9 +608,9 @@ def log_potential_field(config: ExperimentConfig, workers: int = 1):
 
     def point(p: int) -> tuple[FieldPoint, bool]:
         z = points[p]
-        a_z = z * eye - base
+        a_z, spec_z = z * eye - base, replace(config.matrix, shift=z)
         try:
-            _, rhs, below_floor = _cutoff(replace(config.matrix, shift=z), a_z, config.params)
+            _, rhs, below_floor = _cutoff(spec_z, spectrum_of(spec_z, a_z), config.params)
         except ConfigError as exc:
             raise ConfigError(f"grid point {z}: {exc}") from exc
         values = np.array([_trial(config, a_z, delta, p, k, buffers=buffers)[1] for k in range(config.trials)])

@@ -32,6 +32,7 @@ from .linalg import (
     DimensionError,
     NumericalError,
     SvdFactorization,
+    _require_square,
     as_matrix,
     log_abs_det,
     operator_norm,
@@ -195,9 +196,7 @@ def build_grushin(a, m: int) -> tuple[GrushinSystem, InverseBlocks]:
     DimensionError
         If ``m`` is outside ``[0, n]`` or ``a`` is not square.
     """
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {a.shape}")
+    a = _require_square(as_matrix(a))
     n = a.shape[0]
     if not isinstance(m, (int, np.integer)) or isinstance(m, bool):
         raise DimensionError(f"deflation count must be an integer, got {m!r}")

@@ -13,11 +13,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from logdet_equiv import (
+    CONVENTIONS,
     cli,
+    config_from_dict,
+    ensembles,
     operator_norm,
     parse_matrix_arg,
     read_config,
     realize,
+    run_theorem1,
+    run_theorem2,
     sample,
     smallest_singular_value,
     write_matrix_csv,
@@ -214,6 +219,10 @@ def test_config_errors_exit_three(argv, capsys):
         (["sweep", "--matrix", "jordan", "--n", "8", "--n-list", "8,16", "--gamma", "0.3"],
          "gamma must exceed 1/2, got 0.3"),
         (["equiv", "--matrix", "jordan", "--n", "8", "--workers", "0"], "workers must be >= 1, got 0"),
+        (["sweep", "--matrix", "jordan", "--n", "8"], "sweep mode needs a nonempty N_list"),
+        (["field", "--matrix", "jordan", "--n", "8"], "field mode needs a z_grid"),
+        (["field", "--matrix", "jordan", "--n", "8", "--re-min", "0"],
+         "config.z_grid: missing keys ['re_max', 'im_min', 'im_max', 'steps']"),
     ],
 )
 def test_given_flag_is_checked_like_a_config_value(capsys, argv, named):
@@ -771,3 +780,66 @@ def test_io_errors_exit_three(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert "i/o error: " in err
     assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# equiv resolves a spec through the cutoff and N* steps that mc and sweep use
+
+
+def shifted_jordan_csv(tmp_path, n=40):
+    path = tmp_path / "m.csv"
+    write_matrix_csv(realize(parse_matrix_arg("jordan", n, 0.3 + 0.2j)), path)
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (  # closed-form spectrum
+            ["--config", "configs/diag200.json"],
+            "matrix = diagonal N=200\nalpha = 1.0\nM = 10\nnu_N = 0.2649158683274018\nrhs = 0.658489821531948\n"
+            "N_star(gamma=4.0, eta=0.01) = 10\nbpz_inclusive = -inf\nbpz_drop_all_small = 0.658489821531948\n",
+        ),
+        (  # structured spectrum
+            ["--matrix", "jordan", "--n", "200", "--shift", "0.3+0.2j"],
+            "matrix = jordan N=200 shift=(0.3+0.2j)\nalpha = 0.6604013505841366\nM = 18\n"
+            "nu_N = 0.47684856298932327\nrhs = 0.0377507041975365\nN_star(gamma=1.0, eta=0.01) = 1\n"
+            "bpz_inclusive = -1.0201104142632773\nbpz_drop_all_small = 0.0006963103366675838\n",
+        ),
+        (  # dense spectrum, cutoff under its SVD floor
+            ["--matrix", "file:{csv}", "--n", "40", "--alpha", "1e-15"],
+            "matrix = custom N=40\nalpha = 1e-15\nM = 1\nnu_N = 0.09222198635284841\nrhs = 0.0034815516833375804\n"
+            "N_star(gamma=1.0, eta=0.01) = 1\nbpz_inclusive = -1.0201104142632773\n"
+            "bpz_drop_all_small = 0.0034815516833375804\nbelow_svd_floor = True\n",
+        ),
+    ],
+)
+def test_equiv_stdout_is_pinned_on_each_spectrum_path(tmp_path, capsys, argv, expected):
+    csv_path = shifted_jordan_csv(tmp_path)
+    assert cli.main(["equiv", *(arg.format(csv=csv_path) for arg in argv)]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_equiv_agrees_with_mc_and_sweep_and_reads_the_matrix_once(tmp_path, capsys, monkeypatch):
+    path = shifted_jordan_csv(tmp_path)
+    reads = []
+    read = ensembles.read_matrix_csv
+    monkeypatch.setattr(ensembles, "read_matrix_csv", lambda p: reads.append(p) or read(p))
+    assert cli.main(["equiv", "--matrix", f"file:{path}", "--n", "40", "--alpha", "1e-15"]) == 0
+    assert reads == [str(path)]
+    shown = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+
+    # L moves only the floor that error_budget checks, not alpha, M, nu_N or rhs.
+    base = {"matrix": {"kind": "custom", "n": 40, "path": str(path)}, "model": "complex_ginibre", "trials": 1,
+            "params": {"alpha": 1e-15, "L": 20.0, "delta": 0.0}}
+    _, single = run_theorem2(config_from_dict(base))
+    for key in ("alpha", "nu_N", "rhs"):
+        assert float(shown[key]) == single[key]
+    assert int(shown["M"]) == single["M"]
+    assert shown["below_svd_floor"] == str(single["below_svd_floor"]) == "True"
+
+    _, sweep = run_theorem1(config_from_dict({**base, "mode": "sweep", "N_list": [40]}))
+    step = sweep["per_N"][0]
+    assert int(shown["N_star(gamma=1.0, eta=0.01)"]) == step["N_star"]
+    for convention in CONVENTIONS:
+        assert float(shown[f"bpz_{convention}"]) == step[f"rhs_{convention}"]

@@ -3,10 +3,13 @@
 import importlib.util
 import json
 import math
+import os
 import pathlib
+import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from logdet_equiv import MatrixSpec, realize, sample, substream_seed
 
@@ -75,3 +78,44 @@ def test_run_benchmarks_runs_each_config_with_its_command(monkeypatch, capsys, t
     ]
     artifacts = {"field_small_field.csv", "grushin_small_checks.json", "mc_small_records.csv"}
     assert artifacts <= {p.name for p in (tmp_path / "out").iterdir()}
+
+
+def test_run_benchmarks_picks_the_command_from_the_file_name_alone(monkeypatch, capsys, tmp_path):
+    lab = tmp_path / "grushin_lab"
+    lab.mkdir()
+    config = {"matrix": {"kind": "jordan", "n": 8}, "model": "complex_ginibre", "params": {"alpha": 0.5}, "trials": 1}
+    (lab / "mc_only.json").write_text(json.dumps(config))
+    monkeypatch.setattr(sys, "argv", ["run_benchmarks.py", "--configs", str(lab / "*.json"), "--workers", "1"])
+    assert load_script("run_benchmarks").main() == 0
+    headers = [line for line in capsys.readouterr().out.split("\n") if line.startswith("== ")]
+    assert headers == [f"== {lab / 'mc_only.json'} (mc) =="]
+
+
+EMPTY_WINDOW = {
+    "matrix": {"kind": "diagonal", "n": 12, "diag": [[[2.0, 0.0], 10], [[0.0, 0.0], 2]]},
+    "model": "complex_ginibre",
+    "params": {"alpha": 0.01, "gamma": 0.6, "delta": 1e-3, "tau": 100.0},
+    "trials": 2,
+}
+
+
+@pytest.mark.parametrize(
+    "name, argv, named",
+    [
+        ("delta_budget_sweep", ["--config", "{tmp}/missing.json"], "config file not found: {tmp}/missing.json"),
+        ("delta_budget_sweep", ["--config", "{tmp}/empty.json", "--points", "2", "--trials", "2", "--workers", "1"],
+         "admissible delta window is empty: [0.2252, 2.887e-06]; raise gamma or loosen alpha/tau"),
+        ("run_benchmarks", ["--configs", "{tmp}/bad*.json", "--workers", "1"], "{tmp}/bad.json: line 1, column 2"),
+    ],
+)
+def test_scripts_report_a_bad_config_like_the_command_line(tmp_path, name, argv, named):
+    (tmp_path / "empty.json").write_text(json.dumps(EMPTY_WINDOW))
+    (tmp_path / "bad.json").write_text("{not json\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / f"{name}.py"), *(arg.format(tmp=tmp_path) for arg in argv)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 3
+    assert run.stderr.startswith(f"configuration error: {named.format(tmp=tmp_path)}")
+    assert "Traceback" not in run.stderr
