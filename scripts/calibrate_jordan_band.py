@@ -11,10 +11,11 @@ the |lhs| band it implies at the target size.
 
 import argparse
 import math
+import sys
 
 import numpy as np
 
-from logdet_equiv import ExperimentConfig, MatrixSpec, realize
+from logdet_equiv import ExperimentConfig, MatrixSpec, cli, realize
 from logdet_equiv.experiments import _trial
 
 
@@ -57,4 +58,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(cli.guarded(main))

@@ -15,7 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from logdet_equiv import ConfigError, read_config, run_theorem2, spectrum_of
+from logdet_equiv import cli, read_config, run_theorem2, spectrum_of
 from logdet_equiv.experiments import _admissible_window, _cutoff
 
 
@@ -44,8 +44,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    try:
-        main()
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        sys.exit(3)
+    sys.exit(cli.guarded(main))

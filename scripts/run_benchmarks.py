@@ -7,7 +7,7 @@ import os
 import sys
 import time
 
-from logdet_equiv import ConfigError, cli, read_config
+from logdet_equiv import cli, read_config
 
 
 def main() -> int:
@@ -20,7 +20,7 @@ def main() -> int:
     paths = sorted(glob.glob(args.configs))
     if not paths:
         print(f"no configs match {args.configs!r}", file=sys.stderr)
-        return 3
+        return cli.EXIT_CONFIG
 
     worst = 0
     for path in paths:
@@ -40,8 +40,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    try:
-        sys.exit(main())
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        sys.exit(3)
+    sys.exit(cli.guarded(main))

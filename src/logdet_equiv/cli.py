@@ -320,19 +320,22 @@ _COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def guarded(fn, *args):
+    """``fn(*args)``; an error the input caused prints one stderr line and returns exit status 3.
+    A factorization that fails to converge was fed non-finite values (too large a delta, say); a
+    MemoryError names the size numpy could not allocate (too large an N for this machine)."""
     try:
-        return _COMMANDS[args.command][0](args)
-    # A factorization that fails to converge was fed non-finite values: too large a delta, say.
-    # A MemoryError names the size numpy could not allocate: too large an N for this machine.
-    except (ConfigError, ValueError, OverflowError, NumericalError, MemoryError) as exc:
+        return fn(*args)
+    except (ValueError, OverflowError, NumericalError, MemoryError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    return EXIT_CONFIG
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    return guarded(_COMMANDS[args.command][0], args)
 
 
 if __name__ == "__main__":

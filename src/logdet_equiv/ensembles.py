@@ -14,7 +14,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import as_matrix, singular_values
+from .equivalents import ParameterError
+from .linalg import _require_square, as_matrix, singular_values
 
 __all__ = [
     "MATRIX_KINDS",
@@ -58,19 +59,19 @@ class MatrixSpec:
 
     def __post_init__(self):
         if self.kind not in MATRIX_KINDS:
-            raise ValueError(f"unknown matrix kind {self.kind!r}; choose from {MATRIX_KINDS}")
+            raise ParameterError(f"unknown matrix kind {self.kind!r}; choose from {MATRIX_KINDS}")
         if int(self.n) < 1:
-            raise ValueError(f"matrix size must be >= 1, got {self.n}")
+            raise ParameterError(f"matrix size must be >= 1, got {self.n}")
         if self.kind == "diagonal":
             if not self.diag:
-                raise ValueError("diagonal spec needs a (value, count) list")
+                raise ParameterError("diagonal spec needs a (value, count) list")
             total = sum(int(c) for _, c in self.diag)
             if total != self.n:
-                raise ValueError(f"diagonal multiplicities sum to {total}, expected n = {self.n}")
+                raise ParameterError(f"diagonal multiplicities sum to {total}, expected n = {self.n}")
             if any(int(c) < 1 for _, c in self.diag):
-                raise ValueError("diagonal multiplicities must be >= 1")
+                raise ParameterError("diagonal multiplicities must be >= 1")
         if self.kind == "custom" and not self.path:
-            raise ValueError("custom spec needs a file path")
+            raise ParameterError("custom spec needs a file path")
 
     def with_size(self, n: int) -> "MatrixSpec":
         """Same recipe at a different size (diagonal multiplicities rescale only if uniform)."""
@@ -80,7 +81,7 @@ class MatrixSpec:
             value, _ = self.diag[0]
             return replace(self, n=int(n), diag=((value, int(n)),))
         if self.kind == "diagonal" or self.kind == "custom":
-            raise ValueError(f"cannot resize a {self.kind} spec with fixed entries")
+            raise ParameterError(f"cannot resize a {self.kind} spec with fixed entries")
         return replace(self, n=int(n))
 
 
@@ -261,9 +262,7 @@ def parse_matrix_arg(text: str, n: int, shift: complex | None = None) -> MatrixS
 def write_matrix_csv(a, path) -> None:
     """Write a dense complex matrix as CSV: a header line ``N``, then N rows
     of N ``re:im`` cells."""
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix CSV format is for square matrices, got {a.shape}")
+    a = _require_square(as_matrix(a))
     lines = [str(a.shape[0])]
     for row in a:
         lines.append(",".join(f"{float(z.real)!r}:{float(z.imag)!r}" for z in row))

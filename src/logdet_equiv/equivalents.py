@@ -261,10 +261,6 @@ class ErrorBudget:
     error_bound: float
     failure_prob: float
 
-    def __post_init__(self):
-        if self.error_bound < 0 or self.failure_prob < 0:
-            raise ParameterError("budget fields must be nonnegative")
-
 
 def error_budget(p: EquivalenceParams, n: int, eps_n: float = 0.0) -> ErrorBudget:
     """Evaluate the error/probability budget for validated parameters."""

@@ -70,7 +70,7 @@ from .grushin import (
     assemble,
 )
 from .linalg import NumericalError, log_abs_det, operator_norm, smallest_singular_value
-from .noise import NOISE_KINDS, NormGrowthFit, ProbeResult, _rescaled_frequencies, sample, substream_seed
+from .noise import NormGrowthFit, ProbeResult, _check_kind, _rescaled_frequencies, sample, substream_seed
 
 __all__ = [
     "ConfigError",
@@ -186,8 +186,7 @@ class ExperimentConfig:
     output: str | None = None
 
     def __post_init__(self):
-        if self.model not in NOISE_KINDS:
-            raise ConfigError(f"unknown noise model {self.model!r}; choose from {NOISE_KINDS}")
+        _check_kind(self.model)
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if not 0 <= int(self.seed) < 2**64:
@@ -269,10 +268,10 @@ def _quantile_block(values) -> dict:
     v = np.asarray(values, dtype=float)
     finite = v[np.isfinite(v)]
     return {
-        "median": float(np.median(v)) if v.size else None,
+        "median": float(np.median(v)),
         "q05": float(np.quantile(finite, 0.05)) if finite.size else None,
         "q95": float(np.quantile(finite, 0.95)) if finite.size else None,
-        "max": float(v.max()) if v.size else None,
+        "max": float(v.max()),
         "nonfinite": int(np.count_nonzero(~np.isfinite(v))),
     }
 
@@ -451,10 +450,7 @@ def run_theorem1(
     records: list[TrialRecord] = []
     per_n = []
     for block, n in enumerate(int(x) for x in config.n_list):
-        try:
-            spec_n = config.matrix.with_size(n)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        spec_n = config.matrix.with_size(n)
         a = realize(spec_n)
         cutoff_index, sums, below_floor = _n_star_step(spec_n, spectrum_of(spec_n, a), gamma, eta)
         delta = float(n) ** (-gamma)

@@ -57,7 +57,7 @@ def as_matrix(a) -> np.ndarray:
 
 
 def _require_square(a: np.ndarray) -> np.ndarray:
-    if a.shape[0] != a.shape[1]:
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
     return a
 
@@ -154,9 +154,7 @@ def log_abs_det(a) -> float:
     (0 x 0) matrix, whose determinant is 1.  Never overflows: a diagonal
     matrix with entries ``exp(+-500)`` at n = 2000 yields ``+-1e6`` exactly.
     """
-    a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {a.shape}")
+    a = _require_square(np.asarray(a, dtype=np.complex128))
     if a.shape[0] == 0:
         return 0.0
     sign, logdet = np.linalg.slogdet(a)

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equivalents import _size_power
-from .linalg import as_matrix, operator_norm, smallest_singular_value
+from .equivalents import ParameterError, _size_power
+from .linalg import _require_square, as_matrix, operator_norm, smallest_singular_value
 
 __all__ = [
     "NOISE_KINDS",
@@ -39,7 +39,7 @@ MARKOV_KAPPA1 = 0.5  # norm-growth exponent of markov_tail_check's scale
 
 def _check_kind(model: str) -> None:
     if model not in NOISE_KINDS:
-        raise ValueError(f"unknown noise model {model!r}; choose from {NOISE_KINDS}")
+        raise ParameterError(f"unknown noise model {model!r}; choose from {NOISE_KINDS}")
 
 
 def substream_seed(seed: int, *key: int) -> int:
@@ -239,9 +239,7 @@ def anti_concentration_probe(
 
     ``trials = 0`` is legal and yields undefined (None) frequencies.
     """
-    d = as_matrix(d)
-    if d.shape[0] != d.shape[1]:
-        raise ValueError(f"D must be square, got shape {d.shape}")
+    d = _require_square(as_matrix(d))
     _check_kind(model)
     n = d.shape[0]
     betas = [float(b) for b in beta_list]

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from logdet_equiv import (
     MATRIX_KINDS,
     MatrixSpec,
+    ParameterError,
     known_singvals,
     norm_cap,
     operator_norm,
@@ -339,3 +340,10 @@ def test_svd_floor_is_zero_unless_the_spectrum_is_dense(tmp_path):
     for spec in (MatrixSpec(kind="jordan", n=5, shift=0.5), MatrixSpec(kind="bidiagonal_toeplitz", n=5),
                  MatrixSpec(kind="zero", n=5), MatrixSpec(kind="diagonal", n=5, diag=((2.0, 5),))):
         assert svd_floor(spec, spectrum_of(spec)) == 0.0
+
+
+def test_a_bad_spec_is_a_parameter_error_where_it_is_found():
+    with pytest.raises(ParameterError, match="^cannot resize a custom spec with fixed entries$"):
+        MatrixSpec(kind="custom", n=2, path="x.csv").with_size(4)
+    with pytest.raises(ParameterError, match="^matrix size must be >= 1, got 0$"):
+        MatrixSpec(kind="jordan", n=0)

@@ -475,3 +475,13 @@ def test_each_assembled_determinant_is_taken_once(monkeypatch):
     assert det_lhs == 2.0 * expected["base"]
     assert schur_rhs == expected["perturbed"] + log_abs_det(pert.blocks.e_minus_plus)
     assert drift == abs(expected["perturbed"] - expected["base"]) / sys.n
+
+
+def test_a_perturbation_of_another_system_is_refused():
+    a = gaussian_matrix(6, seed=31)
+    sys, _ = build_grushin(a, 1)
+    other, _ = build_grushin(a, 2)
+    pert = invert_perturbed(other, gaussian_matrix(6, seed=32), 1e-3, "direct")
+    for check in (schur_logdet, perturbation_drift_bound, interlacing_check):
+        with pytest.raises(ValueError, match="^perturbed system does not belong to the given Grushin system$"):
+            check(sys, pert)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from logdet_equiv import (
     DimensionError,
     NumericalError,
+    anti_concentration_probe,
     as_matrix,
     log_abs_det,
     operator_norm,
@@ -17,6 +18,7 @@ from logdet_equiv import (
     smallest_singular_value,
     svd_paired,
     svd_tolerance,
+    write_matrix_csv,
 )
 
 from helpers import gaussian_matrix
@@ -236,3 +238,17 @@ def test_norms_are_the_extreme_singular_values_bitwise(seed, n):
     s = singular_values(a)
     assert operator_norm(a) == s[0] == float(np.linalg.norm(a, 2))
     assert smallest_singular_value(a) == s[-1]
+
+
+def test_every_square_check_raises_one_dimension_error(tmp_path):
+    wide = np.ones((2, 3))
+    calls = (
+        lambda: log_abs_det(wide),
+        lambda: anti_concentration_probe(wide, "complex_ginibre", 1, [1.0], seed=0),
+        lambda: write_matrix_csv(wide, tmp_path / "wide.csv"),
+    )
+    for call in calls:
+        with pytest.raises(DimensionError) as info:
+            call()
+        assert str(info.value) == "expected a square matrix, got shape (2, 3)"
+    assert not (tmp_path / "wide.csv").exists()

@@ -9,6 +9,9 @@ import pytest
 from logdet_equiv import noise
 from logdet_equiv import (
     NOISE_KINDS,
+    ExperimentConfig,
+    MatrixSpec,
+    ParameterError,
     anti_concentration_probe,
     fit_growth,
     markov_tail_check,
@@ -270,3 +273,12 @@ def test_probe_csv_rows_shape():
     model, n, trial, stat, value = rows[0]
     assert (model, n, trial, stat) == ("complex_ginibre", 6, 0, "smallest_singular_value")
     assert isinstance(value, float)
+
+
+def test_an_unknown_noise_model_is_one_parameter_error():
+    with pytest.raises(ParameterError) as drawn:
+        sample("white_noise", 4, 0)
+    with pytest.raises(ParameterError) as configured:
+        ExperimentConfig(matrix=MatrixSpec(kind="zero", n=4), model="white_noise")
+    assert str(drawn.value) == str(configured.value)
+    assert str(drawn.value) == f"unknown noise model 'white_noise'; choose from {NOISE_KINDS}"

@@ -119,3 +119,31 @@ def test_scripts_report_a_bad_config_like_the_command_line(tmp_path, name, argv,
     assert run.returncode == 3
     assert run.stderr.startswith(f"configuration error: {named.format(tmp=tmp_path)}")
     assert "Traceback" not in run.stderr
+
+
+@pytest.mark.parametrize(
+    "name, argv, named",
+    [
+        ("delta_budget_sweep", ["--config", "{tmp}/configs"], "i/o error: "),
+        ("delta_budget_sweep", ["--config", "{tmp}/nan.json", "--points", "2", "--trials", "2", "--workers", "1"],
+         "configuration error: matrix entries must be finite"),
+        ("calibrate_jordan_band", ["--sizes", "0", "--trials", "5"],
+         "configuration error: matrix size must be >= 1, got 0"),
+        ("run_benchmarks", ["--configs", "{tmp}/only_dir/*.json", "--workers", "1"], "i/o error: "),
+    ],
+    ids=["sweep-config-is-a-directory", "sweep-nan-matrix-cell", "calibrate-size-zero", "benchmarks-glob-hits-a-directory"],
+)
+def test_scripts_exit_through_the_command_line_error_path(tmp_path, name, argv, named):
+    (tmp_path / "configs").mkdir()
+    (tmp_path / "only_dir" / "run.json").mkdir(parents=True)
+    (tmp_path / "nan.csv").write_text("2\nnan:0,0:0\n0:0,1:0\n")
+    custom = {"matrix": {"kind": "custom", "n": 2, "path": str(tmp_path / "nan.csv")}, "model": "complex_ginibre"}
+    (tmp_path / "nan.json").write_text(json.dumps(custom))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / f"{name}.py"), *(arg.format(tmp=tmp_path) for arg in argv)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 3
+    assert run.stderr.startswith(named)
+    assert "Traceback" not in run.stderr
