@@ -22,9 +22,9 @@ from logdet_equiv.experiments import _trial
 def x_samples(n: int, delta: float, trials: int, seed: int) -> np.ndarray:
     """X for ``trials`` complex Ginibre draws on the N x N Jordan block; trial k
     is the harness's trial k of work unit N (substream ``(seed, N, k)``)."""
-    config = ExperimentConfig(matrix=MatrixSpec(kind="jordan", n=n), model="complex_ginibre", seed=seed)
+    config = ExperimentConfig(matrix=MatrixSpec(kind="jordan", n=n), model="complex_ginibre", seed=seed, trials=trials)
     a = realize(config.matrix)
-    return np.array([n * _trial(config, a, delta, n, k)[1] - math.log(delta) for k in range(trials)])
+    return np.array([n * _trial(config, a, delta, n, k)[1] - math.log(delta) for k in range(config.trials)])
 
 
 def main() -> None:

@@ -15,7 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from logdet_equiv import cli, read_config, run_theorem2, spectrum_of
+from logdet_equiv import ConfigError, cli, read_config, run_theorem2, spectrum_of
 from logdet_equiv.experiments import _admissible_window, _cutoff
 
 
@@ -26,6 +26,8 @@ def main() -> None:
     parser.add_argument("--trials", type=int, default=20)
     parser.add_argument("--workers", type=int, default=4)
     args = parser.parse_args()
+    if args.points < 1:
+        raise ConfigError(f"points must be >= 1, got {args.points}")
 
     config = replace(read_config(args.config), trials=args.trials)
     # Resolve once just to locate the window; each sweep point re-resolves.

@@ -237,8 +237,8 @@ class EquivalenceParams:
                 )
         return out
 
-    def validate(self, n: int, singvals=None) -> "EquivalenceParams":
-        bad = self.violations(n, singvals)
+    def validate(self, n: int) -> "EquivalenceParams":
+        bad = self.violations(n)
         if bad:
             raise ParameterError("; ".join(bad))
         return self

@@ -311,8 +311,8 @@ def _trial(
         g *= delta
         g += a
         lhs = log_abs_det(g) / n
-    # slogdet gives NaN only for a non-finite input: delta G overflowed.
-    if math.isnan(lhs):
+    # slogdet gives NaN for a non-finite input and +inf when the LU overflowed; -inf (singular) is a value.
+    if math.isnan(lhs) or lhs == math.inf:
         raise NumericalError(f"A + delta G overflows a float at delta = {delta:g}")
     if not diagnostics:
         return sub, lhs, math.nan, math.nan

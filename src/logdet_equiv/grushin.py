@@ -309,7 +309,7 @@ def invert_perturbed(
     ContractionError
         If ``method="neumann"`` and the contraction exceeds 1/2.
     NumericalError
-        If ``method="direct"`` and the assembled matrix is singular.
+        If ``A + delta G`` overflows a float, or ``direct`` finds the assembled matrix singular.
     """
     g = as_matrix(g)
     if g.shape != sys.a.shape:
@@ -327,19 +327,17 @@ def invert_perturbed(
 
     n = sys.n
     # One allocation; ``delta G + A`` is ``A + delta G`` bit for bit.
-    a_delta = np.multiply(delta, g)
-    a_delta += sys.a
+    with np.errstate(over="ignore", invalid="ignore"):
+        a_delta = np.multiply(delta, g)
+        a_delta += sys.a
+    if not np.isfinite(a_delta).all():
+        raise NumericalError(f"A + delta G overflows a float at delta = {delta:g}")
     if method == "direct":
         try:
             inv = np.linalg.inv(_bordered(sys, a_delta))
         except np.linalg.LinAlgError as exc:
             raise NumericalError("assembled perturbed system is singular") from exc
-        blocks = InverseBlocks(
-            e=np.ascontiguousarray(inv[:n, :n]),
-            e_plus=np.ascontiguousarray(inv[:n, n:]),
-            e_minus=np.ascontiguousarray(inv[n:, :n]),
-            e_minus_plus=np.ascontiguousarray(inv[n:, n:]),
-        )
+        blocks = InverseBlocks(inv[:n, :n], inv[:n, n:], inv[n:, :n], inv[n:, n:])
     elif method == "neumann":
         if contraction > 0.5:
             raise ContractionError(

@@ -5,7 +5,11 @@ import glob
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -747,14 +751,37 @@ def test_no_subcommand_accepts_an_abbreviated_flag(capsys, argv, flag):
 
 
 def test_a_delta_that_overflows_the_suite_exits_three(capsys):
-    # A + delta G overflows, so an SVD of the perturbed system cannot converge.
+    # A + delta G overflows, so the suite stops before any inverse or SVD of the perturbed system.
     argv = ["grushin-verify", "--matrix", "diag:2x10,0x2", "--n", "12", "--alpha", "1.0", "--delta", "1e308",
             "--trials", "1", "--workers", "1"]
     with np.errstate(all="ignore"):
         assert cli.main(argv) == 3
     err = capsys.readouterr().err
-    assert "configuration error: SVD did not converge" in err
+    assert err == "configuration error: A + delta G overflows a float at delta = 1e+308\n"
     assert "Traceback" not in err
+
+
+def test_an_overflowing_suite_prints_one_line_and_no_warning():
+    # A subprocess sees numpy's RuntimeWarnings on stderr, which pytest's warning filter would turn into errors.
+    argv = ["grushin-verify", "--matrix", "diag:2x10,0x2", "--n", "12", "--alpha", "1.0", "--delta", "1e308",
+            "--trials", "1", "--workers", "1"]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-m", "logdet_equiv.cli", *argv], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert run.returncode == 3
+    assert run.stderr == "configuration error: A + delta G overflows a float at delta = 1e+308\n"
+
+
+def test_an_lu_that_overflows_in_a_field_exits_three(tmp_path, capsys):
+    # A + 5e307 G is finite, but its LU overflows: slogdet reads +inf, which is no log-determinant of a
+    # finite matrix.
+    argv = ["field", "--matrix", "jordan", "--n", "8", "--delta", "5e307", "--trials", "4", "--re-min", "0",
+            "--re-max", "0", "--im-min", "0", "--im-max", "0", "--steps", "1", "--out", str(tmp_path / "f")]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert err == "configuration error: A + delta G overflows a float at delta = 5e+307\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_a_delta_that_overflows_a_field_exits_three(tmp_path, capsys):
