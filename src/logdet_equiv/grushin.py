@@ -254,16 +254,10 @@ def grushin_det_identity(sys: GrushinSystem) -> tuple[float, float]:
 
     The identity says the assembled system forgets the deflated singular
     values entirely: ``|det P|^2`` equals the product of the retained
-    ``t_i^2``.  Returns ``(lhs, rhs)``; both are ``-inf`` when a retained
-    singular value vanishes.
+    ``t_i^2``.  Returns ``(lhs, rhs)``.  Every retained ``t_i`` is positive: :func:`build_grushin`,
+    the only constructor of a system, raises :class:`DeflationError` when ``t_{m+1} = 0``.
     """
-    lhs = 2.0 * sys.assembled_logdet
-    t_hi = sys.retained
-    if t_hi.size and float(t_hi[0]) == 0.0:
-        rhs = float("-inf")
-    else:
-        rhs = 2.0 * math.fsum(math.log(float(t)) for t in t_hi)
-    return lhs, rhs
+    return 2.0 * sys.assembled_logdet, 2.0 * math.fsum(math.log(float(t)) for t in sys.retained)
 
 
 def default_alpha(sys: GrushinSystem) -> float:
@@ -326,10 +320,8 @@ def invert_perturbed(
     contraction = 0.0 if delta == 0.0 else delta * norm_g / alpha
 
     n = sys.n
-    # One allocation; ``delta G + A`` is ``A + delta G`` bit for bit.
     with np.errstate(over="ignore", invalid="ignore"):
-        a_delta = np.multiply(delta, g)
-        a_delta += sys.a
+        a_delta = sys.a + delta * g
     if not np.isfinite(a_delta).all():
         raise NumericalError(f"A + delta G overflows a float at delta = {delta:g}")
     if method == "direct":
@@ -337,6 +329,8 @@ def invert_perturbed(
             inv = np.linalg.inv(_bordered(sys, a_delta))
         except np.linalg.LinAlgError as exc:
             raise NumericalError("assembled perturbed system is singular") from exc
+        if not np.isfinite(inv).all():
+            raise NumericalError(f"A + delta G overflows a float at delta = {delta:g}")
         blocks = InverseBlocks(inv[:n, :n], inv[:n, n:], inv[n:, :n], inv[n:, n:])
     elif method == "neumann":
         if contraction > 0.5:
@@ -359,18 +353,12 @@ def invert_perturbed(
     )
 
 
-def _identity_plus(t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``I + t`` bit for bit as ``np.eye(n) + t``, without a dense identity: adding ``+0.0`` turns each
-    ``-0.0`` into ``+0.0`` as the identity's zeros do, and ``(t_ii + 0) + 1 = 1 + t_ii``.  Written into
-    ``out`` when given, which may be ``t`` itself."""
-    out = np.add(t, 0.0, out=out)
-    out.flat[:: out.shape[0] + 1] += 1.0
-    return out
-
-
-def _is_identity(s: np.ndarray) -> bool:
-    """``np.array_equal(s, np.eye(n))``: a diagonal of ones (looked at first, in ``O(n)``) and no other nonzero."""
-    return bool((s.diagonal() == 1.0).all()) and np.count_nonzero(s) == s.shape[0]
+def _identity_plus(t: np.ndarray) -> np.ndarray:
+    """``I + t`` bit for bit as ``np.eye(n) + t``, written into ``t`` without a dense identity: adding
+    ``+0.0`` turns each ``-0.0`` into ``+0.0`` as the identity's zeros do, and ``(t_ii + 0) + 1 = 1 + t_ii``."""
+    np.add(t, 0.0, out=t)
+    t.flat[:: t.shape[0] + 1] += 1.0
+    return t
 
 
 def _neumann_blocks(sys: GrushinSystem, g: np.ndarray, delta: float, n_terms: int) -> InverseBlocks:
@@ -382,25 +370,22 @@ def _neumann_blocks(sys: GrushinSystem, g: np.ndarray, delta: float, n_terms: in
     the same operands again, so ``S_K = S_{K-1} = S_k`` and the blocks are exactly those of all
     ``K = n_terms`` steps.  At a small contraction ``q`` that happens after about ``log eps / log q`` steps.
 
-    Each step adds ``I`` into its fresh product in place, and ``S_0 = I`` stays implicit, so the loop holds
-    four ``n x n`` arrays (``X``, ``S_{k-1}``, ``S_k`` and the next product); ``g`` and the cached
-    ``sys.blocks`` are only read."""
+    Each step adds ``I`` into its fresh product in place, so the loop holds four ``n x n`` arrays
+    (``X``, ``S_{k-1}``, ``S_k`` and the next product); the dense ``S_0`` is dropped after the first
+    step.  ``g`` and the cached ``sys.blocks`` are only read."""
     base = sys.blocks
     if delta == 0.0 or n_terms <= 0:
         # Empty series: the perturbed blocks are exactly the unperturbed ones.
         return base
     e, e_minus = base.e, base.e_minus
-    x = g @ e
-    np.multiply(-delta, x, out=x)
-    s_prev, s = None, _identity_plus(x)  # ``None`` is ``S_0 = I``
+    x = -delta * (g @ e)
+    s_prev = np.eye(sys.n, dtype=np.complex128)
+    s = s_prev + x
     for _ in range(n_terms - 1):
         # ``I + Z`` holds no ``-0.0`` (``+0 + -0 = +0``), so equal here is equal bit for bit.
-        if _is_identity(s) if s_prev is None else np.array_equal(s, s_prev):
+        if np.array_equal(s, s_prev):
             break
-        t = x @ s
-        s_prev, s = s, _identity_plus(t, out=t)
-    if s_prev is None:
-        s_prev = np.eye(sys.n, dtype=np.complex128)
+        s_prev, s = s, _identity_plus(x @ s)
     mid = -delta * (s_prev @ (g @ base.e_plus))
     return InverseBlocks(e @ s, base.e_plus + e @ mid, e_minus @ s, base.e_minus_plus + e_minus @ mid)
 

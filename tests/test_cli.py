@@ -773,6 +773,15 @@ def test_an_overflowing_suite_prints_one_line_and_no_warning():
     assert run.stderr == "configuration error: A + delta G overflows a float at delta = 1e+308\n"
 
 
+def test_a_bordered_inverse_that_overflows_in_the_suite_exits_three(capsys):
+    # A + 3e306 G is finite, but the inverse of its bordered system is not.
+    argv = ["grushin-verify", "--matrix", "diag:2x190,0x10", "--n", "200", "--alpha", "1.0", "--delta", "3e306",
+            "--trials", "1", "--workers", "1"]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert err == "configuration error: A + delta G overflows a float at delta = 3e+306\n"
+
+
 def test_an_lu_that_overflows_in_a_field_exits_three(tmp_path, capsys):
     # A + 5e307 G is finite, but its LU overflows: slogdet reads +inf, which is no log-determinant of a
     # finite matrix.

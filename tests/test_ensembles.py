@@ -69,6 +69,12 @@ def test_spec_validation():
     assert "jordan" in MATRIX_KINDS
 
 
+def test_diagonal_spec_rejects_a_negative_multiplicity():
+    # The counts sum to n, so only the multiplicity check can reject this spec.
+    with pytest.raises(ParameterError, match="^diagonal multiplicities must be >= 1$"):
+        MatrixSpec(kind="diagonal", n=5, diag=((2.0, 6), (0.0, -1)))
+
+
 def test_with_size():
     assert MatrixSpec(kind="jordan", n=5).with_size(9).n == 9
     uniform = MatrixSpec(kind="diagonal", n=4, diag=((2.0, 4),)).with_size(7)

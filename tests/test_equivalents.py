@@ -239,6 +239,14 @@ def test_violations_name_each_constraint():
     assert any("tau" in v for v in valid_params(tau=0.0).violations(100))
 
 
+def test_violations_name_the_sign_constraints():
+    assert valid_params(m=-1, eta=0.0, delta=-1.0).violations(100) == [
+        "deflation count m = -1 outside [0, 100]",
+        "eta must be positive, got 0.0",
+        "delta must be nonnegative, got -1.0",
+    ]
+
+
 def test_violations_check_spectrum_consistency():
     s = np.array([1.0] * 99 + [0.0])
     assert valid_params().violations(100, s) == []

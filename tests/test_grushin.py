@@ -246,6 +246,24 @@ def test_neumann_runs_every_step_without_a_fixed_point(seed):
     _assert_blocks_identical(blocks, full_depth_neumann_blocks(sys, g, delta, n_terms))
 
 
+@pytest.mark.parametrize("case", ["one-term", "full-deflation"])
+def test_neumann_first_exits_match_full_depth_bit_for_bit(case):
+    # One term runs no Horner step; a full deflation has E = 0, so S_1 = I and the first check stops.
+    if case == "one-term":
+        sys, g = _dense_instance(110)
+        n_terms = 1
+    else:
+        sys, _ = build_grushin(gaussian_matrix(20, seed=111), 20)
+        g = gaussian_matrix(20, seed=111, key=1)
+        n_terms = grushin_module.NEUMANN_TERMS
+    blocks = grushin_module._neumann_blocks(sys, g, 1e-3, n_terms)
+    expected = full_depth_neumann_blocks(sys, g, 1e-3, n_terms)
+    for name in ("e", "e_plus", "e_minus", "e_minus_plus"):
+        got, want = getattr(blocks, name), getattr(expected, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+
+
 def _shared_arrays(sys):
     """``A`` and the cached unperturbed blocks, which every trial on ``sys`` reads."""
     blocks = sys.blocks

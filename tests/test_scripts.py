@@ -133,9 +133,11 @@ def test_scripts_report_a_bad_config_like_the_command_line(tmp_path, name, argv,
         ("calibrate_jordan_band", ["--sizes", "5", "--trials", "0"], "configuration error: trials must be >= 1, got 0"),
         ("delta_budget_sweep", ["--points", "0", "--trials", "2", "--workers", "1"],
          "configuration error: points must be >= 1, got 0"),
+        ("delta_budget_sweep", ["--points", "2", "--trials", "2", "--workers", "0"],
+         "configuration error: workers must be >= 1, got 0"),
     ],
     ids=["sweep-config-is-a-directory", "sweep-nan-matrix-cell", "calibrate-size-zero", "benchmarks-glob-hits-a-directory",
-         "calibrate-trials-zero", "sweep-points-zero"],
+         "calibrate-trials-zero", "sweep-points-zero", "sweep-workers-zero"],
 )
 def test_scripts_exit_through_the_command_line_error_path(tmp_path, name, argv, named):
     (tmp_path / "configs").mkdir()
