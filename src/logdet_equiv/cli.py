@@ -66,8 +66,9 @@ _FLAGS = {
     "model": dict(choices=NOISE_KINDS, help="noise model"),
     "workers": dict(
         type=int,
-        help="thread pool size (default: $LOGDET_EQUIV_WORKERS or 1); "
-        "output is worker-count independent at a fixed BLAS thread count",
+        help="thread pool size (default: $LOGDET_EQUIV_WORKERS or 1); at 1, mc, sweep and field draw "
+        "their noise in a forked helper process, one trial ahead; output is independent of the worker "
+        "count, and of OPENBLAS_NUM_THREADS where OpenBLAS can be pinned to one thread",
     ),
     "alpha": dict(type=_float_or_text, help="singular-value cutoff in (0,1], or 'auto'"),
     "delta": dict(type=float, help="noise amplitude"),

@@ -14,13 +14,19 @@ field
     The log-potential map ``z -> (1/N) log |det (z I - A + delta G)|`` over a
     rectangular grid (:func:`log_potential_field`).
 
-Workers: ``workers > 1`` runs one thread pool over the trials of a single run
-or sweep step, or over the grid points of a field run, each point's trials in
-turn.  Each worker draws its noise into one buffer kept while the run lasts.
+Workers: every ``mc``, ``sweep`` and ``field`` run makes its LAPACK calls with
+the loaded OpenBLAS pinned to one thread (:func:`_one_blas_thread`).
+``workers > 1`` runs one thread pool over the trials of a single run or sweep
+step, or over the grid points of a field run, each point's trials in turn;
+each worker draws its noise into one buffer kept while the run lasts.  With
+``workers = 1`` a forked helper process draws the noise one trial ahead into a
+two-slot shared ring while this process factors (:func:`_serial_draws`): one
+helper per single run, per sweep step, and per field run.
 
 Reproducibility: trial ``k`` of work unit ``b`` (sweep step or grid point;
 0 in single mode) always draws from ``substream_seed(seed, b, k)``, so output
-is byte-identical for any worker count at a fixed BLAS thread count, and a
+is byte-identical for any worker count and any ``OPENBLAS_NUM_THREADS`` where
+the pin holds (at a fixed BLAS thread count where it does not), and a
 one-point field run coincides with a single-mode run on the shifted matrix,
 stream for stream.
 """
@@ -29,11 +35,14 @@ from __future__ import annotations
 
 import cmath
 import csv
+import functools
 import json
 import math
 import os
 import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager, suppress
 from dataclasses import MISSING, astuple, dataclass, field, fields, replace
 from sys import float_info
 
@@ -282,6 +291,127 @@ def _draw(config: ExperimentConfig, n: int, block: int, k: int, out: np.ndarray 
     return sub, sample(config.model, n, sub, out)
 
 
+@functools.cache
+def _openblas_threads():
+    """``(get, set)``, the thread-count functions ``scipy_openblas_{get,set}_num_threads64_`` of the
+    OpenBLAS that numpy loaded (numpy's own wheels export them), or None where no loaded library
+    has them or nothing says which libraries are loaded."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split(None, 5)[5].strip() for line in fh if "openblas" in line})
+        libs = [ctypes.CDLL(path) for path in paths]
+    except OSError:
+        return None
+    for lib in libs:
+        try:
+            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """The loaded OpenBLAS at one thread inside the block, its old count restored after; a no-op
+    where :func:`_openblas_threads` finds none.  The bits of an LU or an SVD at N >= 200 depend on
+    the thread count, so this makes a run's outputs independent of ``OPENBLAS_NUM_THREADS``."""
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, set_ = threads
+    old = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(old)
+
+
+# What os.fork warns on Python >= 3.12 when /proc/self/stat counts more than one thread.
+_FORK_WARNING = r"This process \(pid=\d+\) is multi-threaded, use of fork\(\) may lead to deadlocks in the child\."
+
+
+def _fork() -> int:
+    """``os.fork()`` without :data:`_FORK_WARNING`, which counts any thread: an OpenBLAS worker or
+    one of the caller's (the package's own pool threads are gone, since only ``workers = 1`` runs
+    fork).  It is safe to drop for :func:`_helper`: the child runs only numpy's RNG and ufuncs, on a
+    generator it makes itself, and ``os.read``/``os.write``, so it takes no lock that a thread lost
+    in the fork could hold, and it never calls BLAS."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
+        return os.fork()
+
+
+def _helper(config: ExperimentConfig, n: int, keys, slots, drawn: int, free: int):
+    """The helper process of :func:`_serial_draws`: draw ``keys`` in turn into alternate ``slots``,
+    each slot once it came back on ``free``, and send each ``seed_used`` on ``drawn``.  It stops at
+    an end of file on ``free`` (the main process is gone) and leaves through ``os._exit``, so no
+    handler or buffer of the main process runs twice."""
+    status = 1
+    try:
+        for i, (block, k) in enumerate(keys):
+            if i >= 2 and not os.read(free, 1):
+                break
+            sub, _ = _draw(config, n, block, k, slots[i % 2])
+            os.write(drawn, sub.to_bytes(8, "little"))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+@contextmanager
+def _serial_draws(config: ExperimentConfig, n: int, blocks, workers: int):
+    """The noise of a serial trial loop over trials ``0..trials-1`` of each of ``blocks`` in turn,
+    drawn one trial ahead by a forked helper process while this one factors: an iterator of
+    ``(seed_used, G)`` whose ``G`` lasts until the next is taken.  None (each trial draws its own
+    ``G``) for ``workers > 1``, for fewer than two draws, and where ``os.fork`` or the BLAS pin is
+    missing: an unpinned LU would take the helper's core for its second thread.
+
+    The helper (:func:`_helper`) draws into a two-slot shared ``mmap`` ring.  One pipe carries each
+    ``seed_used``, the other hands a slot back once its trial is done.  Leaving the block closes
+    both pipes and reaps the helper, also when a trial raised; a helper that died early makes the
+    next draw raise NumericalError."""
+    keys = [(block, k) for block in blocks for k in range(config.trials)]
+    if workers > 1 or len(keys) < 2 or not hasattr(os, "fork") or _openblas_threads() is None:
+        yield None
+        return
+    import mmap
+
+    slots = np.frombuffer(mmap.mmap(-1, 2 * 16 * n * n), dtype=np.complex128).reshape(2, n, n)
+    drawn_r, drawn_w = os.pipe()
+    free_r, free_w = os.pipe()
+    pid = _fork()
+    if pid == 0:
+        os.close(drawn_r)
+        os.close(free_w)
+        _helper(config, n, keys, slots, drawn_w, free_r)
+    os.close(drawn_w)
+    os.close(free_r)
+
+    def draws():
+        for i, (block, k) in enumerate(keys):
+            sub = os.read(drawn_r, 8)
+            if len(sub) < 8:
+                raise NumericalError(f"the noise helper process exited before trial {k} of work unit {block}")
+            yield int.from_bytes(sub, "little"), slots[i % 2]
+            if i + 2 < len(keys):
+                with suppress(BrokenPipeError):  # a dead helper is reported by the next read
+                    os.write(free_w, b"\0")
+
+    try:
+        yield draws()
+    finally:
+        os.close(drawn_r)
+        os.close(free_w)
+        os.waitpid(pid, 0)
+
+
 def _trial(
     config: ExperimentConfig,
     a: np.ndarray,
@@ -290,22 +420,27 @@ def _trial(
     k: int,
     diagnostics: bool = False,
     buffers: threading.local | None = None,
+    draws=None,
 ):
     """Trial ``k`` of work unit ``block``: ``(seed_used, lhs, ||G||, s_min(A + delta G))``
     with ``lhs = (1/N) log |det (A + delta G)|``.  The last two cost one SVD each
     and are taken only when ``diagnostics`` is set; otherwise they are ``math.nan``.
 
-    ``G`` is drawn into this thread's ``N x N`` buffer in ``buffers`` (a
-    ``threading.local`` that one run owns: one buffer per worker for the whole
-    run, grid points included, gone when the run returns), or into a fresh
-    array without it, and turned into ``A + delta G`` in place (bitwise
-    ``a + delta * g``).  Raises NumericalError naming ``delta`` when
-    ``A + delta G`` overflows a float."""
+    ``G`` is the next of ``draws`` (a :func:`_serial_draws` iterator whose next
+    draw is this trial's) when given.  Otherwise it is drawn into this thread's
+    ``N x N`` buffer in ``buffers`` (a ``threading.local`` that one run owns:
+    one buffer per worker for the whole run, grid points included, gone when
+    the run returns), or into a fresh array without it.  It is turned into
+    ``A + delta G`` in place (bitwise ``a + delta * g``).  Raises NumericalError
+    naming ``delta`` when ``A + delta G`` overflows a float."""
     n = a.shape[0]
-    g = getattr(buffers, "g", None)
-    if buffers is not None and (g is None or g.shape != (n, n)):
-        g = buffers.g = np.empty((n, n), dtype=np.complex128)
-    sub, g = _draw(config, n, block, k, g)
+    if draws is not None:
+        sub, g = next(draws)
+    else:
+        g = getattr(buffers, "g", None)
+        if buffers is not None and (g is None or g.shape != (n, n)):
+            g = buffers.g = np.empty((n, n), dtype=np.complex128)
+        sub, g = _draw(config, n, block, k, g)
     norm_g = operator_norm(g) if diagnostics else math.nan
     with np.errstate(over="ignore", invalid="ignore"):
         g *= delta
@@ -329,13 +464,14 @@ def _trial_records(config, a, delta, block, rhs, alpha, m, error_bound, workers,
     buffers = threading.local()
 
     def one(k: int) -> TrialRecord:
-        sub, lhs, norm_g, s_min = _trial(config, a, delta, block, k, diagnostics, buffers)
+        sub, lhs, norm_g, s_min = _trial(config, a, delta, block, k, diagnostics, buffers, draws)
         error = abs(lhs - rhs)
         within = None if math.isnan(error_bound) else bool(error <= error_bound)
         contraction = delta * norm_g / alpha if diagnostics else math.nan
         return TrialRecord(k, sub, n, delta, alpha, m, lhs, rhs, error, error_bound, within, norm_g, s_min, contraction)
 
-    return _map_indexed(one, config.trials, workers)
+    with _serial_draws(config, n, [block], workers) as draws:
+        return _map_indexed(one, config.trials, workers)
 
 
 def _cutoff(spec: MatrixSpec, singvals, params: ParamConfig):
@@ -362,6 +498,7 @@ def _admissible_window(params: EquivalenceParams, n: int) -> tuple[float, float]
     return lo, hi
 
 
+@_one_blas_thread()
 def run_theorem2(config: ExperimentConfig, workers: int = 1, diagnostics: bool = False):
     """Single-matrix Monte Carlo comparison against the cutoff sum.
 
@@ -421,6 +558,7 @@ def run_theorem2(config: ExperimentConfig, workers: int = 1, diagnostics: bool =
     return records, summary
 
 
+@_one_blas_thread()
 def run_theorem1(
     config: ExperimentConfig,
     gamma: float | None = None,
@@ -583,6 +721,7 @@ def run_grushin_suite(config: ExperimentConfig, workers: int = 1):
     return checks, summary
 
 
+@_one_blas_thread()
 def log_potential_field(config: ExperimentConfig, workers: int = 1):
     """Evaluate the log-potential field over the configured z-grid.
 
@@ -609,11 +748,12 @@ def log_potential_field(config: ExperimentConfig, workers: int = 1):
             _, rhs, below_floor = _cutoff(spec_z, spectrum_of(spec_z, a_z), config.params)
         except ConfigError as exc:
             raise ConfigError(f"grid point {z}: {exc}") from exc
-        values = np.array([_trial(config, a_z, delta, p, k, buffers=buffers)[1] for k in range(config.trials)])
+        values = np.array([_trial(config, a_z, delta, p, k, False, buffers, draws)[1] for k in range(config.trials)])
         sd = float(values.std(ddof=1)) if values.size > 1 else 0.0
         return FieldPoint(float(z.real), float(z.imag), rhs, float(values.mean()), sd, config.trials), below_floor
 
-    field_points, below = zip(*_map_indexed(point, len(points), workers))
+    with _serial_draws(config, n, range(len(points)), workers) as draws:
+        field_points, below = zip(*_map_indexed(point, len(points), workers))
     gaps = [abs(fp.lhs_mean - fp.rhs) for fp in field_points if math.isfinite(fp.lhs_mean)]
     summary = {
         "mode": "field",
