@@ -23,6 +23,7 @@ from .experiments import (
     ExperimentConfig,
     _cutoff,
     _n_star_step,
+    _one_blas_thread,
     config_from_dict,
     config_to_dict,
     log_potential_field,
@@ -279,9 +280,10 @@ def _cmd_probe_noise(args) -> int:
     model, n, trials, seed = config.model, config.matrix.n, config.trials, config.seed
     d = realize(config.matrix)
 
-    growth = norm_growth_probe(model, sizes, min(trials, 50), substream_seed(seed, 0))
-    markov = markov_tail_check(model, n, trials, taus, seed=substream_seed(seed, 1))
-    anti = anti_concentration_probe(d, model, trials, betas, substream_seed(seed, 2))
+    with _one_blas_thread():
+        growth = norm_growth_probe(model, sizes, min(trials, 50), substream_seed(seed, 0))
+        markov = markov_tail_check(model, n, trials, taus, seed=substream_seed(seed, 1))
+        anti = anti_concentration_probe(d, model, trials, betas, substream_seed(seed, 2))
 
     print(f"model = {model}")
     print(f"kappa1_hat = {_fmt(growth.kappa1_hat)} (sizes {list(sizes)}, intercept {_fmt(growth.intercept)})")

@@ -14,14 +14,17 @@ field
     The log-potential map ``z -> (1/N) log |det (z I - A + delta G)|`` over a
     rectangular grid (:func:`log_potential_field`).
 
-Workers: every ``mc``, ``sweep`` and ``field`` run makes its LAPACK calls with
-the loaded OpenBLAS pinned to one thread (:func:`_one_blas_thread`).
-``workers > 1`` runs one thread pool over the trials of a single run or sweep
-step, or over the grid points of a field run, each point's trials in turn;
-each worker draws its noise into one buffer kept while the run lasts.  With
-``workers = 1`` a forked helper process draws the noise one trial ahead into a
-two-slot shared ring while this process factors (:func:`_serial_draws`): one
-helper per single run, per sweep step, and per field run.
+Workers: every ``mc``, ``sweep``, ``field`` and ``grushin-verify`` run makes its
+LAPACK calls with the loaded OpenBLAS pinned to one thread
+(:func:`_one_blas_thread`).  ``workers > 1`` runs one thread pool over the
+trials of a single run, sweep step or suite, or over the grid points of a
+field run, each point's trials in turn; each worker draws its noise into one
+buffer kept while the run lasts.  With ``workers = 1`` a forked helper process
+draws the noise one trial ahead into a two-slot shared ring while this process
+factors (:func:`_serial_draws`): one helper per single run, per sweep step, per
+field run and per suite.  It also takes what a trial needs of ``G`` alone:
+``||G||`` with ``diagnostics``, and in the suite ``||G||`` and the
+log-determinant and singular values of ``A + delta G``.
 
 Reproducibility: trial ``k`` of work unit ``b`` (sweep step or grid point;
 0 in single mode) always draws from ``substream_seed(seed, b, k)``, so output
@@ -78,7 +81,7 @@ from .grushin import (
     schur_logdet,
     assemble,
 )
-from .linalg import NumericalError, log_abs_det, operator_norm, smallest_singular_value
+from .linalg import NumericalError, log_abs_det, operator_norm, singular_values, smallest_singular_value
 from .noise import NormGrowthFit, ProbeResult, _check_kind, _rescaled_frequencies, sample, substream_seed
 
 __all__ = [
@@ -340,43 +343,80 @@ _FORK_WARNING = r"This process \(pid=\d+\) is multi-threaded, use of fork\(\) ma
 def _fork() -> int:
     """``os.fork()`` without :data:`_FORK_WARNING`, which counts any thread: an OpenBLAS worker or
     one of the caller's (the package's own pool threads are gone, since only ``workers = 1`` runs
-    fork).  It is safe to drop for :func:`_helper`: the child runs only numpy's RNG and ufuncs, on a
-    generator it makes itself, and ``os.read``/``os.write``, so it takes no lock that a thread lost
-    in the fork could hold, and it never calls BLAS."""
+    fork).  It is safe to drop for :func:`_helper`, which runs numpy's RNG and ufuncs on a generator
+    it makes itself, ``os.read``/``os.write``, and LAPACK.  Only a pinned run forks, so the child
+    inherits OpenBLAS at one thread and runs each LAPACK call on its own thread, starting no worker;
+    OpenBLAS's own fork handler has stopped the parent's idle workers before the fork, and the
+    forking thread is in no BLAS call.  So the child waits on no lock that a thread lost in the
+    fork could hold."""
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
         return os.fork()
 
 
-def _helper(config: ExperimentConfig, n: int, keys, slots, drawn: int, free: int):
+def _measured(measure, g: np.ndarray) -> bytes:
+    """The values ``fn(g)`` of ``measure = (width, fn)`` as ``width`` float64s, all NaN where ``fn``
+    raised or met a floating-point error numpy would warn of, so that the main process takes them
+    itself and meets the error there; no bytes without ``measure``."""
+    if measure is None:
+        return b""
+    width, fn = measure
+    try:
+        with warnings.catch_warnings(), np.errstate(divide="raise", over="raise", invalid="raise"):
+            warnings.simplefilter("error")
+            values = np.asarray(fn(g), dtype=np.float64).reshape(width)
+    except Exception:
+        values = np.full(width, np.nan)
+    return values.tobytes()
+
+
+def _helper(config: ExperimentConfig, n: int, keys, slots, drawn: int, free: int, measure):
     """The helper process of :func:`_serial_draws`: draw ``keys`` in turn into alternate ``slots``,
-    each slot once it came back on ``free``, and send each ``seed_used`` on ``drawn``.  It stops at
-    an end of file on ``free`` (the main process is gone) and leaves through ``os._exit``, so no
-    handler or buffer of the main process runs twice."""
+    each slot once it came back on ``free``, and send each ``seed_used`` with the values ``measure``
+    takes of that ``G`` on ``drawn``.  It stops at an end of file on ``free`` (the main process is
+    gone) and leaves through ``os._exit``, so no handler or buffer of the main process runs twice."""
     status = 1
     try:
         for i, (block, k) in enumerate(keys):
             if i >= 2 and not os.read(free, 1):
                 break
-            sub, _ = _draw(config, n, block, k, slots[i % 2])
-            os.write(drawn, sub.to_bytes(8, "little"))
+            sub, g = _draw(config, n, block, k, slots[i % 2])
+            message = memoryview(sub.to_bytes(8, "little") + _measured(measure, g))
+            while message:
+                message = message[os.write(drawn, message):]
         status = 0
     finally:
         os._exit(status)
 
 
+def _read_exactly(fd: int, size: int) -> bytes:
+    """``size`` bytes from ``fd``, fewer only at an end of file."""
+    data = b""
+    while len(data) < size:
+        chunk = os.read(fd, size - len(data))
+        if not chunk:
+            break
+        data += chunk
+    return data
+
+
 @contextmanager
-def _serial_draws(config: ExperimentConfig, n: int, blocks, workers: int):
+def _serial_draws(config: ExperimentConfig, n: int, blocks, workers: int, measure=None):
     """The noise of a serial trial loop over trials ``0..trials-1`` of each of ``blocks`` in turn,
     drawn one trial ahead by a forked helper process while this one factors: an iterator of
-    ``(seed_used, G)`` whose ``G`` lasts until the next is taken.  None (each trial draws its own
-    ``G``) for ``workers > 1``, for fewer than two draws, and where ``os.fork`` or the BLAS pin is
-    missing: an unpinned LU would take the helper's core for its second thread.
+    ``(seed_used, G, values)`` whose ``G`` lasts until the next is taken.  None (each trial draws
+    its own ``G``) for ``workers > 1``, for fewer than two draws, and where ``os.fork`` or the BLAS
+    pin is missing: an unpinned LU would take the helper's core for its second BLAS thread.
+
+    ``measure``, when given, is ``(width, fn)``: the helper also takes ``fn(G)``, ``width`` floats
+    that leave ``G`` as drawn, and ``values`` is them as a float64 array.  ``values`` is None
+    without ``measure``, and where one of them is NaN (``fn`` failed, see :func:`_measured`): then
+    the trial takes them itself.
 
     The helper (:func:`_helper`) draws into a two-slot shared ``mmap`` ring.  One pipe carries each
-    ``seed_used``, the other hands a slot back once its trial is done.  Leaving the block closes
-    both pipes and reaps the helper, also when a trial raised; a helper that died early makes the
-    next draw raise NumericalError."""
+    ``seed_used`` and its values, the other hands a slot back once its trial is done.  Leaving the
+    block closes both pipes and reaps the helper, also when a trial raised; a helper that died
+    early makes the next draw raise NumericalError."""
     keys = [(block, k) for block in blocks for k in range(config.trials)]
     if workers > 1 or len(keys) < 2 or not hasattr(os, "fork") or _openblas_threads() is None:
         yield None
@@ -384,22 +424,26 @@ def _serial_draws(config: ExperimentConfig, n: int, blocks, workers: int):
     import mmap
 
     slots = np.frombuffer(mmap.mmap(-1, 2 * 16 * n * n), dtype=np.complex128).reshape(2, n, n)
+    size = 8 * (1 + (measure[0] if measure else 0))
     drawn_r, drawn_w = os.pipe()
     free_r, free_w = os.pipe()
     pid = _fork()
     if pid == 0:
         os.close(drawn_r)
         os.close(free_w)
-        _helper(config, n, keys, slots, drawn_w, free_r)
+        _helper(config, n, keys, slots, drawn_w, free_r, measure)
     os.close(drawn_w)
     os.close(free_r)
 
     def draws():
         for i, (block, k) in enumerate(keys):
-            sub = os.read(drawn_r, 8)
-            if len(sub) < 8:
+            message = _read_exactly(drawn_r, size)
+            if len(message) < size:
                 raise NumericalError(f"the noise helper process exited before trial {k} of work unit {block}")
-            yield int.from_bytes(sub, "little"), slots[i % 2]
+            values = np.frombuffer(message, dtype=np.float64, offset=8) if measure else None
+            if values is not None and np.isnan(values).any():
+                values = None
+            yield int.from_bytes(message[:8], "little"), slots[i % 2], values
             if i + 2 < len(keys):
                 with suppress(BrokenPipeError):  # a dead helper is reported by the next read
                     os.write(free_w, b"\0")
@@ -427,21 +471,26 @@ def _trial(
     and are taken only when ``diagnostics`` is set; otherwise they are ``math.nan``.
 
     ``G`` is the next of ``draws`` (a :func:`_serial_draws` iterator whose next
-    draw is this trial's) when given.  Otherwise it is drawn into this thread's
-    ``N x N`` buffer in ``buffers`` (a ``threading.local`` that one run owns:
-    one buffer per worker for the whole run, grid points included, gone when
-    the run returns), or into a fresh array without it.  It is turned into
-    ``A + delta G`` in place (bitwise ``a + delta * g``).  Raises NumericalError
-    naming ``delta`` when ``A + delta G`` overflows a float."""
+    draw is this trial's, with ``||G||`` as its values when ``diagnostics`` is
+    set) when given.  Otherwise it is drawn into this thread's ``N x N`` buffer
+    in ``buffers`` (a ``threading.local`` that one run owns: one buffer per
+    worker for the whole run, grid points included, gone when the run returns),
+    or into a fresh array without it.  It is turned into ``A + delta G`` in place
+    (bitwise ``a + delta * g``).  Raises NumericalError naming ``delta`` when
+    ``A + delta G`` overflows a float."""
     n = a.shape[0]
+    measured = None
     if draws is not None:
-        sub, g = next(draws)
+        sub, g, measured = next(draws)
     else:
         g = getattr(buffers, "g", None)
         if buffers is not None and (g is None or g.shape != (n, n)):
             g = buffers.g = np.empty((n, n), dtype=np.complex128)
         sub, g = _draw(config, n, block, k, g)
-    norm_g = operator_norm(g) if diagnostics else math.nan
+    if not diagnostics:
+        norm_g = math.nan
+    else:
+        norm_g = operator_norm(g) if measured is None else float(measured[0])
     with np.errstate(over="ignore", invalid="ignore"):
         g *= delta
         g += a
@@ -470,7 +519,9 @@ def _trial_records(config, a, delta, block, rhs, alpha, m, error_bound, workers,
         contraction = delta * norm_g / alpha if diagnostics else math.nan
         return TrialRecord(k, sub, n, delta, alpha, m, lhs, rhs, error, error_bound, within, norm_g, s_min, contraction)
 
-    with _serial_draws(config, n, [block], workers) as draws:
+    # With diagnostics the helper takes ||G||, so each trial leaves it only the LU and s_min(A + delta G).
+    measure = (1, lambda g: [operator_norm(g)]) if diagnostics else None
+    with _serial_draws(config, n, [block], workers, measure) as draws:
         return _map_indexed(one, config.trials, workers)
 
 
@@ -638,6 +689,7 @@ def _two_sided_residuals(sys, blocks) -> tuple[float, float]:
     return np.abs(assembled @ inverse - eye).max(), np.abs(inverse @ assembled - eye).max()
 
 
+@_one_blas_thread()
 def run_grushin_suite(config: ExperimentConfig, workers: int = 1):
     """Run every block-algebra identity and bound on the configured matrix.
 
@@ -647,6 +699,11 @@ def run_grushin_suite(config: ExperimentConfig, workers: int = 1):
     sampled perturbation.  Bounds that assume the contraction regime are
     skipped, not failed, for trials where ``delta * ||G|| / alpha > 1/2``.
 
+    A serial run's helper process (:func:`_serial_draws`) also takes what
+    needs only ``G``: ``||G||``, ``log |det (A + delta G)|`` and, when
+    ``m >= 1``, the singular values of ``A + delta G``.  It starts before
+    the static checks, so its first trials overlap them.
+
     Returns ``(checks, summary)``: each check is a JSON-ready dict
     ``{check, n, lhs, rhs, bound, pass, trial}``.
     """
@@ -654,47 +711,54 @@ def run_grushin_suite(config: ExperimentConfig, workers: int = 1):
         raise ConfigError(f"run_grushin_suite needs mode 'single', got {config.mode!r}")
     a, n = realize(config.matrix), int(config.matrix.n)
     params, _, _ = _cutoff(config.matrix, spectrum_of(config.matrix, a), config.params)
-    sys, blocks = build_grushin(a, params.m)
-    # count_below puts alpha in [t_m, t_{m+1}) by construction, the window
-    # the unperturbed norm estimates require.
-    alpha = params.alpha
-
-    checks: list[dict] = []
-
-    def add(record: CheckRecord, trial: int | None = None) -> None:
-        checks.append({**record.as_dict(), "trial": trial})
-
-    lhs, rhs = grushin_det_identity(sys)
-    add(_eq("det_identity", None, lhs, rhs, 1e-8 * n))
-
-    right, left = _two_sided_residuals(sys, blocks)
-    tol = 1e-10 * (n + params.m)
-    add(_leq("two_sided_inverse_right", None, right, 0.0, tol))
-    add(_leq("two_sided_inverse_left", None, left, 0.0, tol))
-    for record in norm_estimates(sys, blocks, alpha):
-        add(record)
-
     delta = params.delta
 
-    def one(k: int) -> list:
-        _, g = _draw(config, n, 0, k)
-        pert = invert_perturbed(sys, g, delta, "direct", alpha=alpha)
-        out = [_eq("schur_identity", None, *schur_logdet(sys, pert), 1e-7 * n)]
-        out.extend(interlacing_check(sys, pert))
-        if pert.within_contraction:
-            out.append(_leq("drift_bound", None, *perturbation_drift_bound(sys, pert), 1e-10))
-            out.extend(perturbed_norm_estimates(pert))
-            approx = _neumann_blocks(sys, pert.g, pert.delta, NEUMANN_TERMS)
-            # initial=0.0 covers the empty border blocks of an m = 0 deflation.
-            pairs = [(getattr(approx, f.name), getattr(pert.blocks, f.name)) for f in fields(approx)]
-            diff = max(float(np.abs(x - y).max(initial=0.0)) for x, y in pairs)
-            tail = max(neumann_tail_bound(pert.contraction, alpha, NEUMANN_TERMS), 1e-9)
-            out.append(_leq("neumann_agreement", None, diff, tail, 0.0))
-        return out
+    def measure(g):
+        # What invert_perturbed, schur_logdet and interlacing_check take of G; a is build_grushin's sys.a.
+        a_delta = a + delta * g
+        return [operator_norm(g), log_abs_det(a_delta), *(singular_values(a_delta) if params.m else ())]
 
-    for k, trial_records in enumerate(_map_indexed(one, config.trials, workers)):
-        for record in trial_records:
-            add(record, trial=k)
+    with _serial_draws(config, n, [0], workers, (2 + (n if params.m else 0), measure)) as draws:
+        sys, blocks = build_grushin(a, params.m)
+        # count_below puts alpha in [t_m, t_{m+1}) by construction, the window
+        # the unperturbed norm estimates require.
+        alpha = params.alpha
+
+        checks: list[dict] = []
+
+        def add(record: CheckRecord, trial: int | None = None) -> None:
+            checks.append({**record.as_dict(), "trial": trial})
+
+        lhs, rhs = grushin_det_identity(sys)
+        add(_eq("det_identity", None, lhs, rhs, 1e-8 * n))
+
+        right, left = _two_sided_residuals(sys, blocks)
+        tol = 1e-10 * (n + params.m)
+        add(_leq("two_sided_inverse_right", None, right, 0.0, tol))
+        add(_leq("two_sided_inverse_left", None, left, 0.0, tol))
+        for record in norm_estimates(sys, blocks, alpha):
+            add(record)
+
+        def one(k: int) -> list:
+            _, g, measured = next(draws) if draws is not None else (*_draw(config, n, 0, k), None)
+            norm_g, logdet, singvals = (None,) * 3 if measured is None else (measured[0], measured[1], measured[2:])
+            pert = invert_perturbed(sys, g, delta, "direct", alpha=alpha, norm_g=norm_g)
+            out = [_eq("schur_identity", None, *schur_logdet(sys, pert, logdet), 1e-7 * n)]
+            out.extend(interlacing_check(sys, pert, singvals=singvals))
+            if pert.within_contraction:
+                out.append(_leq("drift_bound", None, *perturbation_drift_bound(sys, pert), 1e-10))
+                out.extend(perturbed_norm_estimates(pert))
+                approx = _neumann_blocks(sys, pert.g, pert.delta, NEUMANN_TERMS)
+                # initial=0.0 covers the empty border blocks of an m = 0 deflation.
+                pairs = [(getattr(approx, f.name), getattr(pert.blocks, f.name)) for f in fields(approx)]
+                diff = max(float(np.abs(x - y).max(initial=0.0)) for x, y in pairs)
+                tail = max(neumann_tail_bound(pert.contraction, alpha, NEUMANN_TERMS), 1e-9)
+                out.append(_leq("neumann_agreement", None, diff, tail, 0.0))
+            return out
+
+        for k, trial_records in enumerate(_map_indexed(one, config.trials, workers)):
+            for record in trial_records:
+                add(record, trial=k)
 
     failed = [c for c in checks if not c["pass"]]
     worst: dict = {}

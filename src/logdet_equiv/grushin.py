@@ -273,6 +273,7 @@ def invert_perturbed(
     *,
     alpha: float | None = None,
     n_terms: int = NEUMANN_TERMS,
+    norm_g: float | None = None,
 ) -> PerturbedSystem:
     """Invert the assembled system of ``A + delta G``.
 
@@ -297,6 +298,8 @@ def invert_perturbed(
         Horner recursion behind it stops as soon as a step returns its input
         bit for bit; the later steps would repeat that same product, so the
         blocks equal those of all ``n_terms`` steps exactly.
+    norm_g : float, optional
+        ``||G||`` when already taken of this ``g``; taken here otherwise.
 
     Raises
     ------
@@ -316,7 +319,7 @@ def invert_perturbed(
     alpha = float(alpha)
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    norm_g = operator_norm(g)
+    norm_g = operator_norm(g) if norm_g is None else float(norm_g)
     contraction = 0.0 if delta == 0.0 else delta * norm_g / alpha
 
     n = sys.n
@@ -411,15 +414,16 @@ def _check_pairing(sys: GrushinSystem, pert: PerturbedSystem) -> None:
         raise ValueError("perturbed system does not belong to the given Grushin system")
 
 
-def schur_logdet(sys: GrushinSystem, pert: PerturbedSystem) -> tuple[float, float]:
+def schur_logdet(sys: GrushinSystem, pert: PerturbedSystem, lhs: float | None = None) -> tuple[float, float]:
     """Both sides of ``log |det (A + delta G)| = log |det P^d| + log |det E^d_minus_plus|``.
 
     The right side is the Schur-complement factorization through the
     assembled system; ``-inf`` values propagate (a singular corner forces a
-    singular ``A + delta G`` and vice versa).
+    singular ``A + delta G`` and vice versa).  ``lhs``, when given, is the
+    left side already taken of ``pert.a_delta``.
     """
     _check_pairing(sys, pert)
-    lhs = log_abs_det(pert.a_delta)
+    lhs = log_abs_det(pert.a_delta) if lhs is None else float(lhs)
     rhs = pert.assembled_logdet + log_abs_det(pert.blocks.e_minus_plus)
     return lhs, rhs
 
@@ -436,7 +440,9 @@ def perturbation_drift_bound(sys: GrushinSystem, pert: PerturbedSystem) -> tuple
     return float(drift), float(bound)
 
 
-def interlacing_check(sys: GrushinSystem, pert: PerturbedSystem, slack: float = 1e-9) -> list[CheckRecord]:
+def interlacing_check(
+    sys: GrushinSystem, pert: PerturbedSystem, slack: float = 1e-9, singvals: np.ndarray | None = None
+) -> list[CheckRecord]:
     """Two-sided control of the small singular values of ``A + delta G``.
 
     For each ``i <= m``, the ``i``-th smallest singular value of the full
@@ -447,12 +453,14 @@ def interlacing_check(sys: GrushinSystem, pert: PerturbedSystem, slack: float = 
 
     and, because the injections here are isometries, the upper bound also
     holds with constant 1.  Returns one record per inequality per index.
+    ``singvals``, when given, are the descending singular values of
+    ``A + delta G`` already taken of ``pert.a_delta``.
     """
     _check_pairing(sys, pert)
     m = sys.m
     if m == 0:
         return []
-    t_full = singular_values(pert.a_delta)[::-1]  # ascending
+    t_full = (singular_values(pert.a_delta) if singvals is None else singvals)[::-1]  # ascending
     t_corner = singular_values(pert.blocks.e_minus_plus)[::-1]
     norm_e, norm_eplus, norm_eminus = pert.blocks.norms
     norm_r = sys.injection_norm

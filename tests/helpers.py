@@ -1,11 +1,14 @@
-"""Shared generators for the test suite.
+"""Shared generators and checks for the test suite.
 
 Random instances are derived from the package's own seeded sampler so every
 test is reproducible; "random" below always means "pseudorandom from a fixed
 root seed".
 """
 
+import os
+
 import numpy as np
+import pytest
 
 from logdet_equiv import InverseBlocks, build_grushin, invert_perturbed, operator_norm, sample, substream_seed
 
@@ -66,3 +69,9 @@ def full_depth_neumann_blocks(sys, g, delta, n_terms):
     return InverseBlocks(
         base.e @ s, base.e_plus + base.e @ mid, base.e_minus @ s, base.e_minus_plus + base.e_minus @ mid
     )
+
+
+def assert_no_child_left():
+    """No child process of this one is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

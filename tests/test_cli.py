@@ -32,6 +32,8 @@ from logdet_equiv import (
     write_matrix_csv,
 )
 
+from helpers import assert_no_child_left
+
 SUBCOMMANDS = ("equiv", "grushin-verify", "mc", "sweep", "field", "probe-noise")
 
 
@@ -751,35 +753,42 @@ def test_no_subcommand_accepts_an_abbreviated_flag(capsys, argv, flag):
 
 
 def test_a_delta_that_overflows_the_suite_exits_three(capsys):
-    # A + delta G overflows, so the suite stops before any inverse or SVD of the perturbed system.
-    argv = ["grushin-verify", "--matrix", "diag:2x10,0x2", "--n", "12", "--alpha", "1.0", "--delta", "1e308",
-            "--trials", "1", "--workers", "1"]
-    with np.errstate(all="ignore"):
-        assert cli.main(argv) == 3
-    err = capsys.readouterr().err
-    assert err == "configuration error: A + delta G overflows a float at delta = 1e+308\n"
-    assert "Traceback" not in err
+    # A + delta G overflows, so the suite stops before any inverse or SVD of the perturbed system.  With two
+    # trials a helper process draws the noise and finds nothing to measure, so this process meets the overflow.
+    for trials in ("1", "2"):
+        argv = ["grushin-verify", "--matrix", "diag:2x10,0x2", "--n", "12", "--alpha", "1.0", "--delta", "1e308",
+                "--trials", trials, "--workers", "1"]
+        with np.errstate(all="ignore"):
+            assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert err == "configuration error: A + delta G overflows a float at delta = 1e+308\n"
+        assert "Traceback" not in err
+        assert_no_child_left()
 
 
 def test_an_overflowing_suite_prints_one_line_and_no_warning():
-    # A subprocess sees numpy's RuntimeWarnings on stderr, which pytest's warning filter would turn into errors.
-    argv = ["grushin-verify", "--matrix", "diag:2x10,0x2", "--n", "12", "--alpha", "1.0", "--delta", "1e308",
-            "--trials", "1", "--workers", "1"]
+    # A subprocess sees numpy's RuntimeWarnings on stderr, which pytest's warning filter would turn into errors;
+    # with two trials the helper process shares that stderr.
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    run = subprocess.run([sys.executable, "-m", "logdet_equiv.cli", *argv], env=env, capture_output=True, text=True,
-                         timeout=120)
-    assert run.returncode == 3
-    assert run.stderr == "configuration error: A + delta G overflows a float at delta = 1e+308\n"
+    for trials in ("1", "2"):
+        argv = ["grushin-verify", "--matrix", "diag:2x10,0x2", "--n", "12", "--alpha", "1.0", "--delta", "1e308",
+                "--trials", trials, "--workers", "1"]
+        run = subprocess.run([sys.executable, "-m", "logdet_equiv.cli", *argv], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert run.returncode == 3
+        assert run.stderr == "configuration error: A + delta G overflows a float at delta = 1e+308\n"
 
 
 def test_a_bordered_inverse_that_overflows_in_the_suite_exits_three(capsys):
     # A + 3e306 G is finite, but the inverse of its bordered system is not.
-    argv = ["grushin-verify", "--matrix", "diag:2x190,0x10", "--n", "200", "--alpha", "1.0", "--delta", "3e306",
-            "--trials", "1", "--workers", "1"]
-    assert cli.main(argv) == 3
-    err = capsys.readouterr().err
-    assert err == "configuration error: A + delta G overflows a float at delta = 3e+306\n"
+    for trials in ("1", "2"):
+        argv = ["grushin-verify", "--matrix", "diag:2x190,0x10", "--n", "200", "--alpha", "1.0", "--delta", "3e306",
+                "--trials", trials, "--workers", "1"]
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert err == "configuration error: A + delta G overflows a float at delta = 3e+306\n"
+        assert_no_child_left()
 
 
 def test_an_lu_that_overflows_in_a_field_exits_three(tmp_path, capsys):

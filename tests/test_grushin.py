@@ -1,6 +1,7 @@
 """Tests for the block augmentation, its inverse, and the perturbed algebra."""
 
 import math
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -294,20 +295,30 @@ def test_perturbed_inversion_writes_no_caller_array(contraction):
 
 def test_grushin_suite_writes_no_shared_array(monkeypatch):
     handed_over = []  # (array, its bytes when the suite got it)
-    draw = experiments._draw
+    draw, serial_draws = experiments._draw, experiments._serial_draws
 
     def build(a, m):
         sys, blocks = build_grushin(a, m)
         handed_over.extend((x, x.tobytes()) for x in _shared_arrays(sys))
         return sys, blocks
 
+    def kept(g):
+        handed_over.append((g, g.tobytes()))
+        return g
+
     def kept_draw(*args):
         seed_used, g = draw(*args)
-        handed_over.append((g, g.tobytes()))
-        return seed_used, g
+        return seed_used, kept(g)
+
+    @contextmanager
+    def kept_draws(*args):
+        # A helper's ring slot is drawn into again two trials on, so the suite gets a copy of each G to keep.
+        with serial_draws(*args) as draws:
+            yield None if draws is None else ((sub, kept(g.copy()), values) for sub, g, values in draws)
 
     monkeypatch.setattr(experiments, "build_grushin", build)
     monkeypatch.setattr(experiments, "_draw", kept_draw)
+    monkeypatch.setattr(experiments, "_serial_draws", kept_draws)
     config = ExperimentConfig(
         matrix=MatrixSpec(kind="diagonal", n=40, diag=((2.0, 36), (0.0, 4))),
         model="complex_ginibre",

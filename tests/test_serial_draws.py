@@ -1,6 +1,7 @@
-"""The one-BLAS-thread pin of mc, sweep and field runs, and the noise helper process of a serial run."""
+"""The one-BLAS-thread pin of every sampling run, and the noise helper process of a serial run."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -20,10 +21,15 @@ from logdet_equiv import (
     ZGrid,
     cli,
     experiments,
+    grushin,
     log_potential_field,
+    noise,
+    run_grushin_suite,
     run_theorem1,
     run_theorem2,
 )
+
+from helpers import assert_no_child_left
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = str(Path(experiments.__file__).resolve().parents[1])
@@ -53,6 +59,13 @@ FIELD = ExperimentConfig(
     mode="field",
     z_grid=ZGrid(re_min=-1.0, re_max=1.0, im_min=-1.0, im_max=1.0, steps=2),
 )
+GRUSHIN = ExperimentConfig(
+    matrix=MatrixSpec(kind="diagonal", n=12, diag=((2.0, 10), (0.0, 2))),
+    model="complex_ginibre",
+    params=ParamConfig(alpha=1.0, gamma=4.0, delta=1e-8),
+    trials=4,
+    seed=909,
+)
 
 
 def run_cli(argv, threads):
@@ -80,11 +93,6 @@ def counted_forks(monkeypatch) -> list:
     return pids
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @needs_pin
 @pytest.mark.parametrize(
     "argv, artifact",
@@ -93,6 +101,7 @@ def assert_no_child_left():
           "--trials", "6", "--seed", "3", "--diagnostics"], "records.csv"),
         (["field", "--config", "configs/field_jordan.json", "--n", "200", "--steps", "2", "--trials", "3"],
          "field.csv"),
+        (["grushin-verify", "--config", "configs/grushin_diag.json"], "checks.json"),
     ],
 )
 def test_outputs_depend_on_neither_the_workers_nor_the_blas_threads(tmp_path, argv, artifact):
@@ -109,14 +118,22 @@ def test_outputs_depend_on_neither_the_workers_nor_the_blas_threads(tmp_path, ar
 
 
 @needs_pin
-def test_every_run_mode_pins_one_blas_thread_and_restores_the_count(monkeypatch):
-    (get, set_), log_abs_det, counts = experiments._openblas_threads(), experiments.log_abs_det, []
+def test_every_run_mode_pins_one_blas_thread_and_restores_the_count(monkeypatch, tmp_path):
+    (get, set_), counts = experiments._openblas_threads(), []
 
-    def counted(m):
-        counts.append(get())
-        return log_abs_det(m)
+    def counted(module, name):
+        original = getattr(module, name)
 
-    monkeypatch.setattr(experiments, "log_abs_det", counted)
+        def call(m):
+            counts.append(get())
+            return original(m)
+
+        monkeypatch.setattr(module, name, call)
+
+    # Each mode's LUs, and the SVDs of the probe-noise probes.
+    for module, name in ((experiments, "log_abs_det"), (grushin, "log_abs_det"), (noise, "operator_norm"),
+                         (noise, "smallest_singular_value")):
+        counted(module, name)
     old = get()
     set_(2)
     try:
@@ -125,8 +142,13 @@ def test_every_run_mode_pins_one_blas_thread_and_restores_the_count(monkeypatch)
             run_theorem2(SINGLE, workers=workers)
             run_theorem1(SWEEP, workers=workers)
             log_potential_field(FIELD, workers=workers)
+            run_grushin_suite(GRUSHIN, workers=workers)
+        assert cli.main(["probe-noise", "--n", "12", "--trials", "100", "--n-list", "4,8",
+                         "--out", str(tmp_path / "p")]) == 0
         with pytest.raises(NumericalError, match="overflows"):
             log_potential_field(replace(FIELD, params=ParamConfig(alpha="auto", delta=1e308)), workers=1)
+        with pytest.raises(NumericalError, match="overflows"):
+            run_grushin_suite(replace(GRUSHIN, params=replace(GRUSHIN.params, delta=1e308)), workers=1)
         assert get() == before
     finally:
         set_(old)
@@ -136,23 +158,59 @@ def test_every_run_mode_pins_one_blas_thread_and_restores_the_count(monkeypatch)
 @needs_pin
 def test_a_serial_run_draws_in_one_helper_per_run_step_or_field(monkeypatch):
     pids = counted_forks(monkeypatch)
-    drawn_here = []
-    sample = experiments.sample
+    drawn_here, normed_here = [], []  # the helper appends to its own copies of the lists
+    sample, operator_norm, invert_perturbed = (experiments.sample, experiments.operator_norm,
+                                               experiments.invert_perturbed)
 
     def recorded(*args, **kwargs):
-        drawn_here.append(os.getpid())  # the helper appends to its own copy of the list
+        drawn_here.append(os.getpid())
         return sample(*args, **kwargs)
 
+    def recorded_norm(g):
+        normed_here.append(os.getpid())
+        return operator_norm(g)
+
+    def inverted(*args, norm_g=None, **kwargs):
+        if norm_g is None:  # invert_perturbed takes ||G|| itself
+            normed_here.append(os.getpid())
+        return invert_perturbed(*args, norm_g=norm_g, **kwargs)
+
     monkeypatch.setattr(experiments, "sample", recorded)
-    serial = [run_theorem2(SINGLE), run_theorem1(SWEEP), log_potential_field(FIELD)]
-    assert len(pids) == 1 + len(SWEEP.n_list) + 1
-    assert drawn_here == []
+    monkeypatch.setattr(experiments, "operator_norm", recorded_norm)
+    monkeypatch.setattr(experiments, "invert_perturbed", inverted)
+    runs = [
+        lambda workers: run_theorem2(SINGLE, workers=workers),
+        lambda workers: run_theorem1(SWEEP, workers=workers),
+        lambda workers: log_potential_field(FIELD, workers=workers),
+        lambda workers: run_theorem2(SINGLE, workers=workers, diagnostics=True),
+        lambda workers: run_grushin_suite(GRUSHIN, workers=workers),
+    ]
+    serial = [run(1) for run in runs]
+    assert len(pids) == 1 + len(SWEEP.n_list) + 1 + 1 + 1
+    assert drawn_here == [] and normed_here == []
     run_theorem2(replace(SINGLE, trials=1))  # one draw: no helper
-    assert len(pids) == 5 and drawn_here == [os.getpid()]
+    assert len(pids) == 7 and drawn_here == [os.getpid()]
     assert_no_child_left()
-    pooled = [run_theorem2(SINGLE, workers=2), run_theorem1(SWEEP, workers=2), log_potential_field(FIELD, workers=2)]
+    pooled = [run(2) for run in runs]
     assert serial == pooled
-    assert len(pids) == 5
+    assert len(pids) == 7
+
+
+@needs_pin
+def test_a_measurement_the_helper_cannot_take_is_taken_here(monkeypatch):
+    expected = [run_grushin_suite(GRUSHIN), run_theorem2(SINGLE, diagnostics=True)]
+    here, operator_norm = os.getpid(), experiments.operator_norm
+
+    def fails(a):
+        raise RuntimeError("no values")
+
+    # The suite's own SVDs go through grushin's names, so only the helper meets this one.
+    monkeypatch.setattr(experiments, "singular_values", fails)
+    assert run_grushin_suite(GRUSHIN) == expected[0]
+    # A NaN is no value either.
+    monkeypatch.setattr(experiments, "operator_norm", lambda g: operator_norm(g) if os.getpid() == here else math.nan)
+    assert [run_grushin_suite(GRUSHIN), run_theorem2(SINGLE, diagnostics=True)] == expected
+    assert_no_child_left()
 
 
 @needs_pin
