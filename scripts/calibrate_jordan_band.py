@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from logdet_equiv import ExperimentConfig, MatrixSpec, cli, realize
-from logdet_equiv.experiments import _trial
+from logdet_equiv.experiments import _one_blas_thread, _serial_draws, _trial
 
 
 def x_samples(n: int, delta: float, trials: int, seed: int) -> np.ndarray:
@@ -24,7 +24,8 @@ def x_samples(n: int, delta: float, trials: int, seed: int) -> np.ndarray:
     is the harness's trial k of work unit N (substream ``(seed, N, k)``)."""
     config = ExperimentConfig(matrix=MatrixSpec(kind="jordan", n=n), model="complex_ginibre", seed=seed, trials=trials)
     a = realize(config.matrix)
-    return np.array([n * _trial(config, a, delta, n, k)[1] - math.log(delta) for k in range(config.trials)])
+    with _one_blas_thread(), _serial_draws(config, n, [n]) as draws:
+        return np.array([n * _trial(a, delta, draws)[1] - math.log(delta) for _ in range(config.trials)])
 
 
 def main() -> None:

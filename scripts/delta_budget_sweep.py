@@ -24,11 +24,11 @@ def main() -> None:
     parser.add_argument("--config", default="configs/diag200.json")
     parser.add_argument("--points", type=int, default=8)
     parser.add_argument("--trials", type=int, default=20)
-    parser.add_argument("--workers", type=int, default=4)
+    parser.add_argument("--workers", type=int, default=4, help="checked as mc checks it; selects nothing")
     args = parser.parse_args()
     if args.points < 1:
         raise ConfigError(f"points must be >= 1, got {args.points}")
-    workers = cli._resolve_workers(args)
+    cli._resolve_workers(args)
 
     config = replace(read_config(args.config), trials=args.trials)
     # Resolve once just to locate the window; each sweep point re-resolves.
@@ -38,7 +38,7 @@ def main() -> None:
     print(f"{'delta':>12}  {'median_err':>12}  {'q95_err':>12}  {'budget':>12}  {'within':>7}")
     for delta in np.geomspace(lo, hi, args.points):
         run = replace(config, params=replace(config.params, delta=float(delta)))
-        records, summary = run_theorem2(run, workers=workers)
+        records, summary = run_theorem2(run)
         errors = np.array([r.error for r in records])
         print(
             f"{delta:12.4g}  {np.median(errors):12.4g}  {np.quantile(errors, 0.95):12.4g}  "

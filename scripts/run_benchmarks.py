@@ -14,7 +14,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--configs", default="configs/*.json", help="glob of config files to run")
     parser.add_argument("--trials", type=int, help="override trial count (quick smoke runs)")
-    parser.add_argument("--workers", type=int, default=4)
+    parser.add_argument("--workers", type=int, default=4, help="passed on to each command, which checks it")
     args = parser.parse_args()
 
     paths = sorted(glob.glob(args.configs))

@@ -67,9 +67,10 @@ _FLAGS = {
     "model": dict(choices=NOISE_KINDS, help="noise model"),
     "workers": dict(
         type=int,
-        help="thread pool size (default: $LOGDET_EQUIV_WORKERS or 1); at 1, mc, sweep and field draw "
-        "their noise in a forked helper process, one trial ahead; output is independent of the worker "
-        "count, and of OPENBLAS_NUM_THREADS where OpenBLAS can be pinned to one thread",
+        help="accepted and checked (>= 1; default: $LOGDET_EQUIV_WORKERS or 1) but selects nothing: "
+        "mc, sweep, field and grushin-verify run their trials in turn, drawing the noise one trial "
+        "ahead in a forked helper process where they can; output is independent of the flag, and of "
+        "OPENBLAS_NUM_THREADS where OpenBLAS can be pinned to one thread",
     ),
     "alpha": dict(type=_float_or_text, help="singular-value cutoff in (0,1], or 'auto'"),
     "delta": dict(type=float, help="noise amplitude"),
@@ -114,7 +115,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_workers(args) -> int:
+def _resolve_workers(args) -> None:
+    """Check ``--workers``, or ``$LOGDET_EQUIV_WORKERS`` without it: an integer >= 1, else ConfigError.
+    No run reads the value, since every run takes its trials in turn (see :mod:`.experiments`)."""
     if args.workers is not None:
         workers = args.workers
     else:
@@ -125,7 +128,6 @@ def _resolve_workers(args) -> int:
             raise ConfigError(f"LOGDET_EQUIV_WORKERS must be an integer, got {raw!r}") from exc
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
-    return workers
 
 
 def _parse_number_list(text, kind=float):
@@ -149,7 +151,8 @@ def _given(args, names) -> dict:
 def _resolve_config(args, mode: str) -> ExperimentConfig:
     """Lay every given flag over the JSON form of ``--config`` (or of a
     default-model config) and parse the result once, so a flag is typed and
-    checked exactly like the config value it replaces."""
+    checked exactly like the config value it replaces; then check
+    ``--workers`` where the subcommand takes it."""
     base = None if args.config is None else read_config(args.config)
     d = {"model": "complex_ginibre"} if base is None else config_to_dict(base)
     if args.matrix is not None and (args.n is not None or base is not None):
@@ -174,7 +177,10 @@ def _resolve_config(args, mode: str) -> ExperimentConfig:
     else:
         d.pop("N_list", None)
         d.pop("z_grid", None)
-    return config_from_dict(d)
+    config = config_from_dict(d)
+    if "workers" in vars(args):
+        _resolve_workers(args)
+    return config
 
 
 def _print_kv(summary: dict, keys) -> None:
@@ -203,11 +209,12 @@ def _write(records, prefix, summary) -> None:
 
 def _cmd_equiv(args) -> int:
     config = _resolve_config(args, "single")
-    _resolve_workers(args)  # checked like any subcommand's, though nothing here samples
     spec = config.matrix
-    singvals = spectrum_of(spec)
-    params, rhs, alpha_below = _cutoff(spec, singvals, config.params)
-    cutoff_index, sums, n_star_below = _n_star_step(spec, singvals, params.gamma, params.eta)
+    # A dense spectrum's last bits depend on the BLAS thread count; pinned, they are those of mc.
+    with _one_blas_thread():
+        singvals = spectrum_of(spec)
+        params, rhs, alpha_below = _cutoff(spec, singvals, config.params)
+        cutoff_index, sums, n_star_below = _n_star_step(spec, singvals, params.gamma, params.eta)
     shown = {
         "matrix": f"{spec.kind} N={spec.n}" + (f" shift={spec.shift}" if spec.shift is not None else ""),
         "alpha": params.alpha,
@@ -223,7 +230,7 @@ def _cmd_equiv(args) -> int:
 
 def _cmd_grushin_verify(args) -> int:
     config = _resolve_config(args, "single")
-    checks, summary = run_grushin_suite(config, workers=_resolve_workers(args))
+    checks, summary = run_grushin_suite(config)
     _print_kv(summary, ("checks_total", "checks_failed", "alpha", "M", "delta", "ok"))
     _write(checks, config.output, summary)
     if not summary["ok"]:
@@ -235,7 +242,7 @@ def _cmd_grushin_verify(args) -> int:
 
 def _cmd_mc(args) -> int:
     config = _resolve_config(args, "single")
-    records, summary = run_theorem2(config, workers=_resolve_workers(args), diagnostics=args.diagnostics)
+    records, summary = run_theorem2(config, diagnostics=args.diagnostics)
     error = {"error_median": summary["error"]["median"], "error_q95": summary["error"]["q95"]}
     keys = ("N", "model", "trials", "alpha", "M", "delta", "outside_theorem", "rhs", "error_bound",
             "success_frequency", "floor_partial", "eps_hat", *error)
@@ -246,7 +253,7 @@ def _cmd_mc(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _resolve_config(args, "sweep")
-    records, summary = run_theorem1(config, workers=_resolve_workers(args), diagnostics=args.diagnostics)
+    records, summary = run_theorem1(config, diagnostics=args.diagnostics)
     print(f"convention = {summary['convention']}, gamma = {summary['gamma']}, eta = {summary['eta']}")
     for step in summary["per_N"]:
         print(
@@ -261,7 +268,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_field(args) -> int:
     config = _resolve_config(args, "field")
-    points, summary = log_potential_field(config, workers=_resolve_workers(args))
+    points, summary = log_potential_field(config)
     _print_kv(summary, ("N", "points", "trials", "delta", "mean_abs_gap", "max_abs_gap"))
     _write(points, config.output, summary)
     return EXIT_OK

@@ -14,24 +14,23 @@ field
     The log-potential map ``z -> (1/N) log |det (z I - A + delta G)|`` over a
     rectangular grid (:func:`log_potential_field`).
 
-Workers: every ``mc``, ``sweep``, ``field`` and ``grushin-verify`` run makes its
-LAPACK calls with the loaded OpenBLAS pinned to one thread
-(:func:`_one_blas_thread`).  ``workers > 1`` runs one thread pool over the
-trials of a single run, sweep step or suite, or over the grid points of a
-field run, each point's trials in turn; each worker draws its noise into one
-buffer kept while the run lasts.  With ``workers = 1`` a forked helper process
-draws the noise one trial ahead into a two-slot shared ring while this process
-factors (:func:`_serial_draws`): one helper per single run, per sweep step, per
-field run and per suite.  It also takes what a trial needs of ``G`` alone:
-``||G||`` with ``diagnostics``, and in the suite ``||G||`` and the
-log-determinant and singular values of ``A + delta G``.
+Trial loop: every ``mc``, ``sweep``, ``field`` and ``grushin-verify`` run makes
+its LAPACK calls with the loaded OpenBLAS pinned to one thread
+(:func:`_one_blas_thread`) and runs its trials in turn, each taking its noise
+from :func:`_serial_draws`.  Where it can, that is a forked helper process
+that draws the noise one trial ahead into a two-slot shared ring while this
+process factors: one helper per single run, per sweep step, per field run and
+per suite.  It also takes what a trial needs of ``G`` alone: ``||G||`` with
+``diagnostics``, and in the suite ``||G||`` and the log-determinant and
+singular values of ``A + delta G``.  Elsewhere the trials draw in process,
+into one array kept while the loop lasts.
 
 Reproducibility: trial ``k`` of work unit ``b`` (sweep step or grid point;
 0 in single mode) always draws from ``substream_seed(seed, b, k)``, so output
-is byte-identical for any worker count and any ``OPENBLAS_NUM_THREADS`` where
-the pin holds (at a fixed BLAS thread count where it does not), and a
-one-point field run coincides with a single-mode run on the shifted matrix,
-stream for stream.
+is byte-identical whether or not a helper draws it, and for any
+``OPENBLAS_NUM_THREADS`` where the pin holds (at a fixed BLAS thread count
+where it does not), and a one-point field run coincides with a single-mode
+run on the shifted matrix, stream for stream.
 """
 
 from __future__ import annotations
@@ -42,9 +41,7 @@ import functools
 import json
 import math
 import os
-import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, suppress
 from dataclasses import MISSING, astuple, dataclass, field, fields, replace
 from sys import float_info
@@ -268,14 +265,6 @@ FIELD_COLUMNS = tuple(f.name for f in fields(FieldPoint))
 PROBE_COLUMNS = ("model", "N", "trial", "stat_name", "value")
 
 
-def _map_indexed(fn, count: int, workers: int) -> list:
-    """Apply ``fn`` to 0..count-1, optionally on a thread pool, order preserved."""
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, range(count)))
-    return [fn(k) for k in range(count)]
-
-
 def _quantile_block(values) -> dict:
     v = np.asarray(values, dtype=float)
     finite = v[np.isfinite(v)]
@@ -342,13 +331,12 @@ _FORK_WARNING = r"This process \(pid=\d+\) is multi-threaded, use of fork\(\) ma
 
 def _fork() -> int:
     """``os.fork()`` without :data:`_FORK_WARNING`, which counts any thread: an OpenBLAS worker or
-    one of the caller's (the package's own pool threads are gone, since only ``workers = 1`` runs
-    fork).  It is safe to drop for :func:`_helper`, which runs numpy's RNG and ufuncs on a generator
-    it makes itself, ``os.read``/``os.write``, and LAPACK.  Only a pinned run forks, so the child
-    inherits OpenBLAS at one thread and runs each LAPACK call on its own thread, starting no worker;
-    OpenBLAS's own fork handler has stopped the parent's idle workers before the fork, and the
-    forking thread is in no BLAS call.  So the child waits on no lock that a thread lost in the
-    fork could hold."""
+    one of the caller's (the package starts none).  It is safe to drop for :func:`_helper`, which
+    runs numpy's RNG and ufuncs on a generator it makes itself, ``os.read``/``os.write``, and
+    LAPACK.  Only a pinned run forks, so the child inherits OpenBLAS at one thread and runs each
+    LAPACK call on its own thread, starting no worker; OpenBLAS's own fork handler has stopped the
+    parent's idle workers before the fork, and the forking thread is in no BLAS call.  So the child
+    waits on no lock that a thread lost in the fork could hold."""
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
         return os.fork()
@@ -401,25 +389,32 @@ def _read_exactly(fd: int, size: int) -> bytes:
 
 
 @contextmanager
-def _serial_draws(config: ExperimentConfig, n: int, blocks, workers: int, measure=None):
-    """The noise of a serial trial loop over trials ``0..trials-1`` of each of ``blocks`` in turn,
-    drawn one trial ahead by a forked helper process while this one factors: an iterator of
-    ``(seed_used, G, values)`` whose ``G`` lasts until the next is taken.  None (each trial draws
-    its own ``G``) for ``workers > 1``, for fewer than two draws, and where ``os.fork`` or the BLAS
-    pin is missing: an unpinned LU would take the helper's core for its second BLAS thread.
+def _serial_draws(config: ExperimentConfig, n: int, blocks, measure=None):
+    """The noise of a trial loop over trials ``0..trials-1`` of each of ``blocks`` in turn: an
+    iterator of ``(seed_used, G, values)`` whose ``G`` lasts until the next is taken.  A forked
+    helper process draws it one trial ahead while this one factors.  For fewer than two draws, and
+    where ``os.fork`` or the BLAS pin is missing (an unpinned LU would take the helper's core for
+    its second BLAS thread), the draws are taken here, in turn, into one ``N x N`` array.
 
     ``measure``, when given, is ``(width, fn)``: the helper also takes ``fn(G)``, ``width`` floats
     that leave ``G`` as drawn, and ``values`` is them as a float64 array.  ``values`` is None
-    without ``measure``, and where one of them is NaN (``fn`` failed, see :func:`_measured`): then
-    the trial takes them itself.
+    without ``measure`` or a helper, and where one of them is NaN (``fn`` failed, see
+    :func:`_measured`): then the trial takes them itself.
 
     The helper (:func:`_helper`) draws into a two-slot shared ``mmap`` ring.  One pipe carries each
     ``seed_used`` and its values, the other hands a slot back once its trial is done.  Leaving the
     block closes both pipes and reaps the helper, also when a trial raised; a helper that died
     early makes the next draw raise NumericalError."""
     keys = [(block, k) for block in blocks for k in range(config.trials)]
-    if workers > 1 or len(keys) < 2 or not hasattr(os, "fork") or _openblas_threads() is None:
-        yield None
+    if len(keys) < 2 or not hasattr(os, "fork") or _openblas_threads() is None:
+
+        def drawn_here():
+            g = None  # the first draw's array is the buffer of every later one
+            for block, k in keys:
+                sub, g = _draw(config, n, block, k, g)
+                yield sub, g, None
+
+        yield drawn_here()
         return
     import mmap
 
@@ -456,37 +451,16 @@ def _serial_draws(config: ExperimentConfig, n: int, blocks, workers: int, measur
         os.waitpid(pid, 0)
 
 
-def _trial(
-    config: ExperimentConfig,
-    a: np.ndarray,
-    delta: float,
-    block: int,
-    k: int,
-    diagnostics: bool = False,
-    buffers: threading.local | None = None,
-    draws=None,
-):
-    """Trial ``k`` of work unit ``block``: ``(seed_used, lhs, ||G||, s_min(A + delta G))``
-    with ``lhs = (1/N) log |det (A + delta G)|``.  The last two cost one SVD each
-    and are taken only when ``diagnostics`` is set; otherwise they are ``math.nan``.
+def _trial(a: np.ndarray, delta: float, draws, diagnostics: bool = False):
+    """The trial whose noise is the next of ``draws``, a :func:`_serial_draws` iterator (with
+    ``||G||`` as its values when ``diagnostics`` is set): ``(seed_used, lhs, ||G||,
+    s_min(A + delta G))`` with ``lhs = (1/N) log |det (A + delta G)|``.  The last two cost one SVD
+    each and are taken only when ``diagnostics`` is set; otherwise they are ``math.nan``.
 
-    ``G`` is the next of ``draws`` (a :func:`_serial_draws` iterator whose next
-    draw is this trial's, with ``||G||`` as its values when ``diagnostics`` is
-    set) when given.  Otherwise it is drawn into this thread's ``N x N`` buffer
-    in ``buffers`` (a ``threading.local`` that one run owns: one buffer per
-    worker for the whole run, grid points included, gone when the run returns),
-    or into a fresh array without it.  It is turned into ``A + delta G`` in place
-    (bitwise ``a + delta * g``).  Raises NumericalError naming ``delta`` when
-    ``A + delta G`` overflows a float."""
+    ``G`` is turned into ``A + delta G`` in place (bitwise ``a + delta * g``).  Raises
+    NumericalError naming ``delta`` when ``A + delta G`` overflows a float."""
     n = a.shape[0]
-    measured = None
-    if draws is not None:
-        sub, g, measured = next(draws)
-    else:
-        g = getattr(buffers, "g", None)
-        if buffers is not None and (g is None or g.shape != (n, n)):
-            g = buffers.g = np.empty((n, n), dtype=np.complex128)
-        sub, g = _draw(config, n, block, k, g)
+    sub, g, measured = next(draws)
     if not diagnostics:
         norm_g = math.nan
     else:
@@ -503,17 +477,16 @@ def _trial(
     return sub, lhs, norm_g, smallest_singular_value(g)
 
 
-def _trial_records(config, a, delta, block, rhs, alpha, m, error_bound, workers, diagnostics) -> list[TrialRecord]:
+def _trial_records(config, a, delta, block, rhs, alpha, m, error_bound, diagnostics) -> list[TrialRecord]:
     """One record per trial of work unit ``block``.  A NaN ``error_bound``
     claims no budget (``within_budget`` None); a NaN ``alpha`` makes the
     contraction NaN.  ``norm_g``, ``s_min_perturbed`` and ``contraction``
     are measured only when ``diagnostics`` is set and are the ``math.nan``
     constant otherwise, so records of one config still compare equal."""
     n = a.shape[0]
-    buffers = threading.local()
 
     def one(k: int) -> TrialRecord:
-        sub, lhs, norm_g, s_min = _trial(config, a, delta, block, k, diagnostics, buffers, draws)
+        sub, lhs, norm_g, s_min = _trial(a, delta, draws, diagnostics)
         error = abs(lhs - rhs)
         within = None if math.isnan(error_bound) else bool(error <= error_bound)
         contraction = delta * norm_g / alpha if diagnostics else math.nan
@@ -521,8 +494,8 @@ def _trial_records(config, a, delta, block, rhs, alpha, m, error_bound, workers,
 
     # With diagnostics the helper takes ||G||, so each trial leaves it only the LU and s_min(A + delta G).
     measure = (1, lambda g: [operator_norm(g)]) if diagnostics else None
-    with _serial_draws(config, n, [block], workers, measure) as draws:
-        return _map_indexed(one, config.trials, workers)
+    with _serial_draws(config, n, [block], measure) as draws:
+        return [one(k) for k in range(config.trials)]
 
 
 def _cutoff(spec: MatrixSpec, singvals, params: ParamConfig):
@@ -550,7 +523,7 @@ def _admissible_window(params: EquivalenceParams, n: int) -> tuple[float, float]
 
 
 @_one_blas_thread()
-def run_theorem2(config: ExperimentConfig, workers: int = 1, diagnostics: bool = False):
+def run_theorem2(config: ExperimentConfig, diagnostics: bool = False):
     """Single-matrix Monte Carlo comparison against the cutoff sum.
 
     Returns ``(records, summary)``.  The summary reports the empirical
@@ -581,7 +554,7 @@ def run_theorem2(config: ExperimentConfig, workers: int = 1, diagnostics: bool =
     budget = error_budget(params, n, eps_n=eps_hat or 0.0)
 
     delta = params.delta
-    records = _trial_records(config, a, delta, 0, rhs, params.alpha, params.m, budget.error_bound, workers, diagnostics)
+    records = _trial_records(config, a, delta, 0, rhs, params.alpha, params.m, budget.error_bound, diagnostics)
     errors = [r.error for r in records]
     summary = {
         "mode": "single",
@@ -615,7 +588,6 @@ def run_theorem1(
     gamma: float | None = None,
     eta: float | None = None,
     convention: str | None = None,
-    workers: int = 1,
     diagnostics: bool = False,
 ):
     """Size sweep with ``delta = N**-gamma`` and the ``N*`` cutoff.
@@ -644,9 +616,7 @@ def run_theorem1(
         cutoff_index, sums, below_floor = _n_star_step(spec_n, spectrum_of(spec_n, a), gamma, eta)
         delta = float(n) ** (-gamma)
         rhs = sums[convention]
-        step_records = _trial_records(
-            config, a, delta, block, rhs, math.nan, cutoff_index, math.nan, workers, diagnostics
-        )
+        step_records = _trial_records(config, a, delta, block, rhs, math.nan, cutoff_index, math.nan, diagnostics)
         records.extend(step_records)
         flagged = not math.isfinite(rhs)
         step_errors = [r.error for r in step_records]
@@ -690,7 +660,7 @@ def _two_sided_residuals(sys, blocks) -> tuple[float, float]:
 
 
 @_one_blas_thread()
-def run_grushin_suite(config: ExperimentConfig, workers: int = 1):
+def run_grushin_suite(config: ExperimentConfig):
     """Run every block-algebra identity and bound on the configured matrix.
 
     Static checks (determinant identity, two-sided inverse, unperturbed norm
@@ -699,7 +669,7 @@ def run_grushin_suite(config: ExperimentConfig, workers: int = 1):
     sampled perturbation.  Bounds that assume the contraction regime are
     skipped, not failed, for trials where ``delta * ||G|| / alpha > 1/2``.
 
-    A serial run's helper process (:func:`_serial_draws`) also takes what
+    The helper process of :func:`_serial_draws` also takes what
     needs only ``G``: ``||G||``, ``log |det (A + delta G)|`` and, when
     ``m >= 1``, the singular values of ``A + delta G``.  It starts before
     the static checks, so its first trials overlap them.
@@ -718,7 +688,7 @@ def run_grushin_suite(config: ExperimentConfig, workers: int = 1):
         a_delta = a + delta * g
         return [operator_norm(g), log_abs_det(a_delta), *(singular_values(a_delta) if params.m else ())]
 
-    with _serial_draws(config, n, [0], workers, (2 + (n if params.m else 0), measure)) as draws:
+    with _serial_draws(config, n, [0], (2 + (n if params.m else 0), measure)) as draws:
         sys, blocks = build_grushin(a, params.m)
         # count_below puts alpha in [t_m, t_{m+1}) by construction, the window
         # the unperturbed norm estimates require.
@@ -739,8 +709,9 @@ def run_grushin_suite(config: ExperimentConfig, workers: int = 1):
         for record in norm_estimates(sys, blocks, alpha):
             add(record)
 
-        def one(k: int) -> list:
-            _, g, measured = next(draws) if draws is not None else (*_draw(config, n, 0, k), None)
+        # One call per trial, so that a trial's arrays are freed before the next trial forms its own.
+        def one() -> list:
+            _, g, measured = next(draws)
             norm_g, logdet, singvals = (None,) * 3 if measured is None else (measured[0], measured[1], measured[2:])
             pert = invert_perturbed(sys, g, delta, "direct", alpha=alpha, norm_g=norm_g)
             out = [_eq("schur_identity", None, *schur_logdet(sys, pert, logdet), 1e-7 * n)]
@@ -756,8 +727,8 @@ def run_grushin_suite(config: ExperimentConfig, workers: int = 1):
                 out.append(_leq("neumann_agreement", None, diff, tail, 0.0))
             return out
 
-        for k, trial_records in enumerate(_map_indexed(one, config.trials, workers)):
-            for record in trial_records:
+        for k in range(config.trials):
+            for record in one():
                 add(record, trial=k)
 
     failed = [c for c in checks if not c["pass"]]
@@ -786,14 +757,14 @@ def run_grushin_suite(config: ExperimentConfig, workers: int = 1):
 
 
 @_one_blas_thread()
-def log_potential_field(config: ExperimentConfig, workers: int = 1):
+def log_potential_field(config: ExperimentConfig):
     """Evaluate the log-potential field over the configured z-grid.
 
     For each grid point ``z`` the matrix ``z I - A`` gets the cutoff step of
     :func:`run_theorem2` (fresh ``alpha`` when auto) and its own noise
     substreams, so one grid point reproduces a single-mode run on the shifted
-    matrix.  ``workers`` share out whole grid points, each running its trials
-    in turn.  ``below_svd_floor`` is true when any grid point's ``alpha`` lies
+    matrix.  The grid points run in turn, each running its trials in turn.
+    ``below_svd_floor`` is true when any grid point's ``alpha`` lies
     under the floor of its spectrum, as in :func:`run_theorem2`.
     """
     if config.mode != "field":
@@ -803,7 +774,6 @@ def log_potential_field(config: ExperimentConfig, workers: int = 1):
     eye = np.eye(n, dtype=np.complex128)
     delta = config.params.delta
     points = config.z_grid.points()
-    buffers = threading.local()
 
     def point(p: int) -> tuple[FieldPoint, bool]:
         z = points[p]
@@ -812,12 +782,12 @@ def log_potential_field(config: ExperimentConfig, workers: int = 1):
             _, rhs, below_floor = _cutoff(spec_z, spectrum_of(spec_z, a_z), config.params)
         except ConfigError as exc:
             raise ConfigError(f"grid point {z}: {exc}") from exc
-        values = np.array([_trial(config, a_z, delta, p, k, False, buffers, draws)[1] for k in range(config.trials)])
+        values = np.array([_trial(a_z, delta, draws)[1] for _ in range(config.trials)])
         sd = float(values.std(ddof=1)) if values.size > 1 else 0.0
         return FieldPoint(float(z.real), float(z.imag), rhs, float(values.mean()), sd, config.trials), below_floor
 
-    with _serial_draws(config, n, range(len(points)), workers) as draws:
-        field_points, below = zip(*_map_indexed(point, len(points), workers))
+    with _serial_draws(config, n, range(len(points))) as draws:
+        field_points, below = zip(*[point(p) for p in range(len(points))])
     gaps = [abs(fp.lhs_mean - fp.rhs) for fp in field_points if math.isfinite(fp.lhs_mean)]
     summary = {
         "mode": "field",

@@ -150,7 +150,7 @@ def test_criterion_4_jordan_band():
     assert band_lo < q01 and q99 < band_hi, (q01, q99, band_lo, band_hi)
 
     config = read_config("configs/jordan500.json")
-    records, summary = run_theorem2(config, workers=4)
+    records, summary = run_theorem2(config)
     assert summary["alpha"] == 0.5
     assert summary["M"] == 1
     assert abs(summary["nu_N"] - 0.0124) < 5e-5
@@ -176,12 +176,12 @@ def test_criterion_5_rank_deficient_diagonal():
         seed=55,
         mode="single",
     )
-    records, summary = run_theorem2(oracle, workers=4)
+    records, summary = run_theorem2(oracle)
     med_oracle = float(np.median([abs(r.lhs - summary["rhs"]) for r in records]))
     scale_oracle = 1 * abs(math.log(1e-8)) / 20
 
     config = read_config("configs/diag200.json")
-    records, summary = run_theorem2(config, workers=4)
+    records, summary = run_theorem2(config)
     assert abs(summary["rhs"] - 190 * LOG2 / 200) <= 1e-15
     med = float(np.median([abs(r.lhs - summary["rhs"]) for r in records]))
     scale = 10 * abs(math.log(config.params.delta)) / 200
@@ -194,7 +194,7 @@ def test_criterion_5_rank_deficient_diagonal():
 
 def test_criterion_6_size_sweep_trend():
     config = read_config("configs/jordan_sweep.json")
-    records, summary = run_theorem1(config, workers=4)
+    records, summary = run_theorem1(config)
     medians = summary["error_medians"]
     assert summary["flagged_steps"] == 0
     assert all(step["rhs"] == 0.0 for step in summary["per_N"])
@@ -206,7 +206,7 @@ def test_criterion_6_size_sweep_trend():
     from dataclasses import replace
 
     reduced = replace(config, trials=5, convention="inclusive")
-    records, flagged = run_theorem1(reduced, workers=4)
+    records, flagged = run_theorem1(reduced)
     assert flagged["flagged_steps"] == 3
     assert all(r.rhs == -math.inf for r in records)
     assert all(step["error_median"] is None for step in flagged["per_N"])

@@ -83,7 +83,7 @@ def test_grushin_verify_passes(tmp_path, capsys):
 
 
 def test_grushin_verify_failure_exit(monkeypatch, capsys):
-    def fake_suite(config, workers=1):
+    def fake_suite(config):
         summary = {
             "checks_total": 1, "checks_failed": 1, "alpha": 1.0, "M": 1,
             "delta": 0.0, "ok": False,

@@ -2,10 +2,9 @@
 
 import json
 import math
+import os
 import pathlib
 import re
-import sys
-import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -38,7 +37,7 @@ from logdet_equiv import (
     write_results,
 )
 import logdet_equiv
-from logdet_equiv import ensembles, equivalents, experiments, grushin, linalg, noise
+from logdet_equiv import cli, ensembles, equivalents, experiments, grushin, linalg, noise
 from logdet_equiv.experiments import FIELD_COLUMNS, PROBE_COLUMNS, RECORD_COLUMNS
 from logdet_equiv.grushin import NEUMANN_TERMS, build_grushin
 from logdet_equiv.linalg import log_abs_det, operator_norm, smallest_singular_value
@@ -187,12 +186,20 @@ def test_theorem2_records_are_reproducible():
     assert [r.seed_used for r in records_a] == [substream_seed(11, 0, k) for k in range(4)]
 
 
-def test_theorem2_worker_count_does_not_change_results():
+def run_with_workers(tmp_path, command: str, config: ExperimentConfig, workers: str, artifact: str) -> bytes:
+    """The ``artifact`` that ``command`` writes for ``config`` at ``--workers workers``."""
+    path = tmp_path / f"{command}.json"
+    write_config(config, path)
+    prefix = tmp_path / f"{command}-w{workers}"
+    assert cli.main([command, "--config", str(path), "--workers", workers, "--out", str(prefix)]) == 0
+    return pathlib.Path(f"{prefix}_{artifact}").read_bytes()
+
+
+def test_theorem2_worker_count_does_not_change_results(tmp_path):
+    # --workers is checked and selects nothing.
     config = single_config(trials=8)
-    records_1, summary_1 = run_theorem2(config, workers=1)
-    records_4, summary_4 = run_theorem2(config, workers=4)
-    assert records_1 == records_4
-    assert summary_1["error"] == summary_4["error"]
+    records = {run_with_workers(tmp_path, "mc", config, w, "records.csv") for w in ("1", "4")}
+    assert len(records) == 1
 
 
 def _fresh_trial(config, a, delta, block, k):
@@ -203,30 +210,22 @@ def _fresh_trial(config, a, delta, block, k):
     return log_abs_det(a_delta) / n, operator_norm(g), smallest_singular_value(a_delta)
 
 
-def test_trial_reuses_one_buffer_per_thread_bitwise():
-    config = single_config(seed=5)
+def test_trial_reuses_one_buffer_per_thread_bitwise(monkeypatch):
+    # Without os.fork a run's one thread draws its trials in turn, into the array of its first draw.
+    monkeypatch.delattr(os, "fork")
+    config = single_config(seed=5, trials=3)
     delta = 1e-3
-    buffers = threading.local()
     for n in (8, 12, 8):
         a = realize(MatrixSpec(kind="jordan", n=n, shift=0.3 + 0.2j))
-        ids = set()
-        for k in range(3):
-            lhs, norm_g, s_min = _fresh_trial(config, a, delta, 2, k)
-            expected = (substream_seed(5, 2, k), lhs, math.nan, math.nan)
-            assert experiments._trial(config, a, delta, 2, k) == expected
-            assert experiments._trial(config, a, delta, 2, k, buffers=buffers) == expected
-            assert experiments._trial(config, a, delta, 2, k, True, buffers)[1:] == (lhs, norm_g, s_min)
-            ids.add(id(buffers.g))
-        assert len(ids) == 1 and buffers.g.shape == (n, n)
-    a = realize(MatrixSpec(kind="jordan", n=12))
-    pool_buffers = threading.local()
-
-    def trial(k):
-        return experiments._trial(config, a, delta, 1, k, False, pool_buffers)[1]
-
-    pooled = experiments._map_indexed(trial, 10, 2)
-    assert pooled == [_fresh_trial(config, a, delta, 1, k)[0] for k in range(10)]
-    assert run_theorem2(config, workers=1, diagnostics=True) == run_theorem2(config, workers=2, diagnostics=True)
+        for diagnostics in (False, True):
+            ids = set()
+            with experiments._serial_draws(config, n, [2]) as draws:
+                for k, draw in enumerate(draws):
+                    ids.add(id(draw[1]))
+                    lhs, norm_g, s_min = _fresh_trial(config, a, delta, 2, k)
+                    expected = (lhs, norm_g, s_min) if diagnostics else (lhs, math.nan, math.nan)
+                    assert experiments._trial(a, delta, iter([draw]), diagnostics) == (substream_seed(5, 2, k), *expected)
+            assert len(ids) == 1 and k == config.trials - 1
 
 
 def test_theorem2_probe_eps_fills_full_floor():
@@ -368,18 +367,11 @@ def test_grushin_suite_all_checks_pass():
     assert len(static) >= 3
 
 
-def test_grushin_suite_worker_count_does_not_change_checks():
-    # Each trial fills its own perturbed system's cached determinant and
-    # block norms; a short switch interval interleaves the threads often.
+def test_grushin_suite_worker_count_does_not_change_checks(tmp_path):
+    # --workers is checked and selects nothing.
     config = single_config(trials=12)
-    serial, _ = run_grushin_suite(config, workers=1)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threaded, _ = run_grushin_suite(config, workers=8)
-    finally:
-        sys.setswitchinterval(interval)
-    assert threaded == serial
+    checks = {run_with_workers(tmp_path, "grushin-verify", config, w, "checks.json") for w in ("1", "8")}
+    assert len(checks) == 1
 
 
 def grushin_diag_config(**overrides):
@@ -390,10 +382,9 @@ def grushin_diag_config(**overrides):
     return single_config(**{"matrix": matrix, "params": params, "trials": 4, "seed": 909, **overrides})
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_grushin_suite_matches_full_depth_neumann(monkeypatch, workers):
+def test_grushin_suite_matches_full_depth_neumann(monkeypatch):
     config = grushin_diag_config()
-    checks, summary = run_grushin_suite(config, workers=workers)
+    checks, summary = run_grushin_suite(config)
     calls = []
 
     def full_depth(*args):
@@ -401,8 +392,10 @@ def test_grushin_suite_matches_full_depth_neumann(monkeypatch, workers):
         return full_depth_neumann_blocks(*args)
 
     monkeypatch.setattr(experiments, "_neumann_blocks", full_depth)
-    assert run_grushin_suite(config, workers=workers) == (checks, summary)
-    assert calls == [NEUMANN_TERMS] * config.trials
+    assert run_grushin_suite(config) == (checks, summary)
+    monkeypatch.delattr(os, "fork")  # and with the draws taken in this process
+    assert run_grushin_suite(config) == (checks, summary)
+    assert calls == [NEUMANN_TERMS] * 2 * config.trials
 
 
 def test_grushin_suite_takes_the_injection_norms_once(monkeypatch):
@@ -522,62 +515,24 @@ def test_field_reports_bad_grid_point():
         log_potential_field(config)
 
 
-def test_field_points_do_not_depend_on_worker_count():
+def test_field_points_do_not_depend_on_worker_count(tmp_path):
     config = field_config(
         matrix=MatrixSpec(kind="jordan", n=16),
         params=ParamConfig(alpha="auto", delta=1e-6),
         z_grid=ZGrid(re_min=-1.0, re_max=1.0, im_min=-1.0, im_max=1.0, steps=3),
     )
-    points_1, summary_1 = log_potential_field(config, workers=1)
-    points_2, summary_2 = log_potential_field(config, workers=2)
-    assert points_1 == points_2 and summary_1 == summary_2
+    # --workers is checked and selects nothing.
+    assert len({run_with_workers(tmp_path, "field", config, w, "field.csv") for w in ("1", "2")}) == 1
     # each point's trials are those of a single-mode run on z I - A, keys (p, k)
+    points, _ = log_potential_field(config)
     a = realize(config.matrix)
-    for p, (point, z) in enumerate(zip(points_1, config.z_grid.points())):
+    for p, (point, z) in enumerate(zip(points, config.z_grid.points())):
         a_z = z * np.eye(16, dtype=np.complex128) - a
         values = [_fresh_trial(config, a_z, 1e-6, p, k)[0] for k in range(config.trials)]
         assert point.lhs_mean == float(np.mean(values))
 
 
-def test_field_run_opens_one_pool_and_one_buffer_per_worker(monkeypatch):
-    pools, outs = [], {}
-
-    class CountedPool(experiments.ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(self)
-            super().__init__(*args, **kwargs)
-
-    def counted_sample(model, n, seed, out=None):
-        outs[id(out)] = out  # kept alive, so no id is reused
-        return sample(model, n, seed, out)
-
-    monkeypatch.setattr(experiments, "ThreadPoolExecutor", CountedPool)
-    monkeypatch.setattr(experiments, "sample", counted_sample)
-    config = field_config(z_grid=ZGrid(re_min=1.5, re_max=2.5, im_min=-0.5, im_max=0.5, steps=3))
-    points, _ = log_potential_field(config, workers=2)
-    assert len(points) == 9
-    assert len(pools) == 1
-    assert None not in outs and 1 <= len(outs) <= 2
-
-
-def test_field_points_agree_under_thread_stress():
-    # More workers than cores and a short switch interval: grid points resolve
-    # and draw on the pool's threads, sharing the memoized spectra.
-    config = field_config(
-        matrix=MatrixSpec(kind="jordan", n=16),
-        params=ParamConfig(alpha="auto", delta=1e-6),
-        z_grid=ZGrid(re_min=-1.25, re_max=1.0, im_min=-1.0, im_max=1.25, steps=4),
-    )
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        stressed = log_potential_field(config, workers=8)
-    finally:
-        sys.setswitchinterval(interval)
-    assert stressed == log_potential_field(config, workers=1)
-
-
-def test_field_error_on_a_pool_thread_names_the_first_bad_point():
+def test_field_error_names_the_first_bad_point(monkeypatch):
     # The zero matrix shifted by z has every singular value |z|, so no auto
     # cutoff exists where |z| <= C N^-L = 32^-2: the inner 3 x 3 block of
     # this 5 x 5 grid, whose first point comes seventh in grid order.
@@ -588,9 +543,11 @@ def test_field_error_on_a_pool_thread_names_the_first_bad_point():
     points = config.z_grid.points()
     bad = [z for z in points if abs(z) <= 32.0**-2]
     assert len(bad) == 9 and points.index(bad[0]) == 6
-    for workers in (1, 2):
+    for draws_here in (False, True):
+        if draws_here:
+            monkeypatch.delattr(os, "fork")
         with pytest.raises(ConfigError, match=re.escape(f"grid point {bad[0]}: auto cutoff search failed")):
-            log_potential_field(config, workers=workers)
+            log_potential_field(config)
 
 
 # ---------------------------------------------------------------------------

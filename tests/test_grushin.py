@@ -295,7 +295,7 @@ def test_perturbed_inversion_writes_no_caller_array(contraction):
 
 def test_grushin_suite_writes_no_shared_array(monkeypatch):
     handed_over = []  # (array, its bytes when the suite got it)
-    draw, serial_draws = experiments._draw, experiments._serial_draws
+    serial_draws = experiments._serial_draws
 
     def build(a, m):
         sys, blocks = build_grushin(a, m)
@@ -306,18 +306,14 @@ def test_grushin_suite_writes_no_shared_array(monkeypatch):
         handed_over.append((g, g.tobytes()))
         return g
 
-    def kept_draw(*args):
-        seed_used, g = draw(*args)
-        return seed_used, kept(g)
-
     @contextmanager
     def kept_draws(*args):
-        # A helper's ring slot is drawn into again two trials on, so the suite gets a copy of each G to keep.
+        # Every G comes from here.  Its array is drawn into again a trial or two on, whether a helper's ring slot
+        # or the one array of draws taken in process, so the suite gets a copy of each G to keep.
         with serial_draws(*args) as draws:
-            yield None if draws is None else ((sub, kept(g.copy()), values) for sub, g, values in draws)
+            yield ((sub, kept(g.copy()), values) for sub, g, values in draws)
 
     monkeypatch.setattr(experiments, "build_grushin", build)
-    monkeypatch.setattr(experiments, "_draw", kept_draw)
     monkeypatch.setattr(experiments, "_serial_draws", kept_draws)
     config = ExperimentConfig(
         matrix=MatrixSpec(kind="diagonal", n=40, diag=((2.0, 36), (0.0, 4))),

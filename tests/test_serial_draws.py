@@ -20,6 +20,7 @@ from logdet_equiv import (
     ParamConfig,
     ZGrid,
     cli,
+    ensembles,
     experiments,
     grushin,
     log_potential_field,
@@ -27,6 +28,8 @@ from logdet_equiv import (
     run_grushin_suite,
     run_theorem1,
     run_theorem2,
+    sample,
+    write_matrix_csv,
 )
 
 from helpers import assert_no_child_left
@@ -77,6 +80,7 @@ def run_cli(argv, threads):
     run = subprocess.run([sys.executable, "-m", "logdet_equiv.cli", *argv], cwd=ROOT, env=env, capture_output=True,
                          text=True, timeout=120)
     assert run.returncode == 0, run.stderr
+    return run.stdout
 
 
 def counted_forks(monkeypatch) -> list:
@@ -102,18 +106,27 @@ def counted_forks(monkeypatch) -> list:
         (["field", "--config", "configs/field_jordan.json", "--n", "200", "--steps", "2", "--trials", "3"],
          "field.csv"),
         (["grushin-verify", "--config", "configs/grushin_diag.json"], "checks.json"),
+        (["equiv", "--matrix", "file:{tmp}/dense400.csv", "--n", "400"], None),
     ],
 )
 def test_outputs_depend_on_neither_the_workers_nor_the_blas_threads(tmp_path, argv, artifact):
-    # At N = 200 an LU or an SVD at two BLAS threads differs from one thread in its last bits.
+    # At N = 200 an LU or an SVD at two BLAS threads differs from one thread in its last bits; at N = 400 so
+    # does the cutoff that equiv reads off a dense spectrum.
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    if artifact is None:
+        write_matrix_csv(sample("complex_ginibre", 400, 3) / 20, tmp_path / "dense400.csv")
     outputs = set()
     for threads in ("1", "2"):
         for workers in ("1", "2"):
+            if artifact is None:
+                outputs.add(run_cli([*argv, "--workers", workers], threads))
+                continue
             prefix = tmp_path / f"threads{threads}-workers{workers}"
-            run_cli([*argv, "--workers", workers, "--out", str(prefix)], threads)
+            stdout = run_cli([*argv, "--workers", workers, "--out", str(prefix)], threads)
             summary = json.loads(Path(f"{prefix}_summary.json").read_text(encoding="utf-8"))
             del summary["config"]["output"]
-            outputs.add((Path(f"{prefix}_{artifact}").read_bytes(), json.dumps(summary)))
+            outputs.add((stdout.replace(str(prefix), "PREFIX"), Path(f"{prefix}_{artifact}").read_bytes(),
+                         json.dumps(summary)))
     assert len(outputs) == 1
 
 
@@ -130,25 +143,32 @@ def test_every_run_mode_pins_one_blas_thread_and_restores_the_count(monkeypatch,
 
         monkeypatch.setattr(module, name, call)
 
-    # Each mode's LUs, and the SVDs of the probe-noise probes.
+    # Each mode's LUs, the SVDs of the probe-noise probes, and the spectra.
     for module, name in ((experiments, "log_abs_det"), (grushin, "log_abs_det"), (noise, "operator_norm"),
-                         (noise, "smallest_singular_value")):
+                         (noise, "smallest_singular_value"), (ensembles, "singular_values")):
         counted(module, name)
     old = get()
     set_(2)
     try:
         before = get()
-        for workers in (1, 2):
-            run_theorem2(SINGLE, workers=workers)
-            run_theorem1(SWEEP, workers=workers)
-            log_potential_field(FIELD, workers=workers)
-            run_grushin_suite(GRUSHIN, workers=workers)
+        # With the helper, and with the draws taken in this process as where os.fork is missing.
+        for draws_here in (False, True):
+            if draws_here:
+                monkeypatch.delattr(os, "fork")
+            run_theorem2(SINGLE)
+            run_theorem2(SINGLE, diagnostics=True)
+            run_theorem1(SWEEP)
+            log_potential_field(FIELD)
+            run_grushin_suite(GRUSHIN)
         assert cli.main(["probe-noise", "--n", "12", "--trials", "100", "--n-list", "4,8",
                          "--out", str(tmp_path / "p")]) == 0
+        spectra = len(counts)
+        assert cli.main(["equiv", "--matrix", "bidiag:0.3711,0.9137", "--n", "12"]) == 0  # a spectrum not cached
+        assert len(counts) == spectra + 1
         with pytest.raises(NumericalError, match="overflows"):
-            log_potential_field(replace(FIELD, params=ParamConfig(alpha="auto", delta=1e308)), workers=1)
+            log_potential_field(replace(FIELD, params=ParamConfig(alpha="auto", delta=1e308)))
         with pytest.raises(NumericalError, match="overflows"):
-            run_grushin_suite(replace(GRUSHIN, params=replace(GRUSHIN.params, delta=1e308)), workers=1)
+            run_grushin_suite(replace(GRUSHIN, params=replace(GRUSHIN.params, delta=1e308)))
         assert get() == before
     finally:
         set_(old)
@@ -179,20 +199,21 @@ def test_a_serial_run_draws_in_one_helper_per_run_step_or_field(monkeypatch):
     monkeypatch.setattr(experiments, "operator_norm", recorded_norm)
     monkeypatch.setattr(experiments, "invert_perturbed", inverted)
     runs = [
-        lambda workers: run_theorem2(SINGLE, workers=workers),
-        lambda workers: run_theorem1(SWEEP, workers=workers),
-        lambda workers: log_potential_field(FIELD, workers=workers),
-        lambda workers: run_theorem2(SINGLE, workers=workers, diagnostics=True),
-        lambda workers: run_grushin_suite(GRUSHIN, workers=workers),
+        lambda: run_theorem2(SINGLE),
+        lambda: run_theorem1(SWEEP),
+        lambda: log_potential_field(FIELD),
+        lambda: run_theorem2(SINGLE, diagnostics=True),
+        lambda: run_grushin_suite(GRUSHIN),
     ]
-    serial = [run(1) for run in runs]
+    helped = [run() for run in runs]
     assert len(pids) == 1 + len(SWEEP.n_list) + 1 + 1 + 1
     assert drawn_here == [] and normed_here == []
     run_theorem2(replace(SINGLE, trials=1))  # one draw: no helper
     assert len(pids) == 7 and drawn_here == [os.getpid()]
     assert_no_child_left()
-    pooled = [run(2) for run in runs]
-    assert serial == pooled
+    # The reference: every draw taken in this process, as where os.fork is missing.
+    monkeypatch.delattr(os, "fork")
+    assert [run() for run in runs] == helped
     assert len(pids) == 7
 
 
@@ -263,10 +284,12 @@ def test_fork_drops_only_the_multithreaded_fork_warning():
 
 
 def test_importing_the_package_loads_no_process_machinery():
-    # What a run imports only when it forks a helper stays out of the package's import time.
+    # What a run imports only when it forks a helper, and the executors no run uses, stay out of the package's
+    # import time.
     code = (
         "import sys\nimport logdet_equiv\n"
-        "print([m for m in ('multiprocessing', 'concurrent.futures.process', 'mmap') if m in sys.modules])"
+        "print([m for m in ('multiprocessing', 'concurrent.futures', 'concurrent.futures.process', 'mmap')"
+        " if m in sys.modules])"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
