@@ -24,11 +24,9 @@ def main() -> None:
     parser.add_argument("--config", default="configs/diag200.json")
     parser.add_argument("--points", type=int, default=8)
     parser.add_argument("--trials", type=int, default=20)
-    parser.add_argument("--workers", type=int, default=4, help="checked as mc checks it; selects nothing")
     args = parser.parse_args()
     if args.points < 1:
         raise ConfigError(f"points must be >= 1, got {args.points}")
-    cli._resolve_workers(args)
 
     config = replace(read_config(args.config), trials=args.trials)
     # Resolve once just to locate the window; each sweep point re-resolves.

@@ -14,7 +14,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--configs", default="configs/*.json", help="glob of config files to run")
     parser.add_argument("--trials", type=int, help="override trial count (quick smoke runs)")
-    parser.add_argument("--workers", type=int, default=4, help="passed on to each command, which checks it")
     args = parser.parse_args()
 
     paths = sorted(glob.glob(args.configs))
@@ -28,7 +27,7 @@ def main() -> int:
         command = {"single": "mc", "sweep": "sweep", "field": "field"}[config.mode]
         if "grushin" in os.path.basename(path):
             command = "grushin-verify"
-        argv = [command, "--config", path, "--workers", str(args.workers)]
+        argv = [command, "--config", path]
         if args.trials is not None:
             argv += ["--trials", str(args.trials)]
         print(f"== {path} ({command}) ==")

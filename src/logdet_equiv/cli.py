@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 from .ensembles import parse_matrix_arg, realize, spectrum_of
@@ -67,10 +66,8 @@ _FLAGS = {
     "model": dict(choices=NOISE_KINDS, help="noise model"),
     "workers": dict(
         type=int,
-        help="accepted and checked (>= 1; default: $LOGDET_EQUIV_WORKERS or 1) but selects nothing: "
-        "mc, sweep, field and grushin-verify run their trials in turn, drawing the noise one trial "
-        "ahead in a forked helper process where they can; output is independent of the flag, and of "
-        "OPENBLAS_NUM_THREADS where OpenBLAS can be pinned to one thread",
+        help="kept for existing command lines; checked (>= 1) but selects nothing, as every run draws its "
+        "trials from seeded substreams in turn",
     ),
     "alpha": dict(type=_float_or_text, help="singular-value cutoff in (0,1], or 'auto'"),
     "delta": dict(type=float, help="noise amplitude"),
@@ -115,21 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_workers(args) -> None:
-    """Check ``--workers``, or ``$LOGDET_EQUIV_WORKERS`` without it: an integer >= 1, else ConfigError.
-    No run reads the value, since every run takes its trials in turn (see :mod:`.experiments`)."""
-    if args.workers is not None:
-        workers = args.workers
-    else:
-        raw = os.environ.get("LOGDET_EQUIV_WORKERS", "1")
-        try:
-            workers = int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"LOGDET_EQUIV_WORKERS must be an integer, got {raw!r}") from exc
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
-
-
 def _parse_number_list(text, kind=float):
     return tuple(kind(part) for part in text.split(",") if part.strip())
 
@@ -152,7 +134,7 @@ def _resolve_config(args, mode: str) -> ExperimentConfig:
     """Lay every given flag over the JSON form of ``--config`` (or of a
     default-model config) and parse the result once, so a flag is typed and
     checked exactly like the config value it replaces; then check
-    ``--workers`` where the subcommand takes it."""
+    ``--workers``, which selects nothing, where the subcommand takes it."""
     base = None if args.config is None else read_config(args.config)
     d = {"model": "complex_ginibre"} if base is None else config_to_dict(base)
     if args.matrix is not None and (args.n is not None or base is not None):
@@ -178,8 +160,8 @@ def _resolve_config(args, mode: str) -> ExperimentConfig:
         d.pop("N_list", None)
         d.pop("z_grid", None)
     config = config_from_dict(d)
-    if "workers" in vars(args):
-        _resolve_workers(args)
+    if getattr(args, "workers", None) is not None and args.workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {args.workers}")
     return config
 
 
@@ -320,7 +302,7 @@ EXPERIMENT_FLAGS = (
 # Each subcommand: its handler, its --help line and the flags it takes, in --help order.
 _COMMANDS = {
     "equiv": (_cmd_equiv, "print cutoff sums and parameters for a matrix, no sampling",
-              "config matrix n shift alpha gamma eta nu-target workers"),
+              "config matrix n shift alpha gamma eta nu-target"),
     "grushin-verify": (_cmd_grushin_verify, "run the block-algebra identity suite", EXPERIMENT_FLAGS),
     "mc": (_cmd_mc, "single-matrix Monte Carlo against the cutoff sum", EXPERIMENT_FLAGS + " probe-eps diagnostics"),
     "sweep": (_cmd_sweep, "size sweep with delta = N^-gamma", EXPERIMENT_FLAGS + " n-list diagnostics"),

@@ -20,10 +20,11 @@ its LAPACK calls with the loaded OpenBLAS pinned to one thread
 from :func:`_serial_draws`.  Where it can, that is a forked helper process
 that draws the noise one trial ahead into a two-slot shared ring while this
 process factors: one helper per single run, per sweep step, per field run and
-per suite.  It also takes what a trial needs of ``G`` alone: ``||G||`` with
-``diagnostics``, and in the suite ``||G||`` and the log-determinant and
-singular values of ``A + delta G``.  Elsewhere the trials draw in process,
-into one array kept while the loop lasts.
+per suite, whatever its number of trials.  It also takes what a trial needs of
+``G`` alone: ``||G||`` with ``diagnostics``, and in the suite ``||G||`` and the
+log-determinant and singular values of ``A + delta G``.  Only where ``os.fork``
+or the pin is missing do the trials draw in process, into one array kept while
+the loop lasts.
 
 Reproducibility: trial ``k`` of work unit ``b`` (sweep step or grid point;
 0 in single mode) always draws from ``substream_seed(seed, b, k)``, so output
@@ -392,9 +393,9 @@ def _read_exactly(fd: int, size: int) -> bytes:
 def _serial_draws(config: ExperimentConfig, n: int, blocks, measure=None):
     """The noise of a trial loop over trials ``0..trials-1`` of each of ``blocks`` in turn: an
     iterator of ``(seed_used, G, values)`` whose ``G`` lasts until the next is taken.  A forked
-    helper process draws it one trial ahead while this one factors.  For fewer than two draws, and
-    where ``os.fork`` or the BLAS pin is missing (an unpinned LU would take the helper's core for
-    its second BLAS thread), the draws are taken here, in turn, into one ``N x N`` array.
+    helper process draws it one trial ahead while this one factors.  Only where ``os.fork`` or the
+    BLAS pin is missing (an unpinned LU would take the helper's core for its second BLAS thread)
+    are the draws taken here, in turn, into one ``N x N`` array.
 
     ``measure``, when given, is ``(width, fn)``: the helper also takes ``fn(G)``, ``width`` floats
     that leave ``G`` as drawn, and ``values`` is them as a float64 array.  ``values`` is None
@@ -406,7 +407,7 @@ def _serial_draws(config: ExperimentConfig, n: int, blocks, measure=None):
     block closes both pipes and reaps the helper, also when a trial raised; a helper that died
     early makes the next draw raise NumericalError."""
     keys = [(block, k) for block in blocks for k in range(config.trials)]
-    if len(keys) < 2 or not hasattr(os, "fork") or _openblas_threads() is None:
+    if not hasattr(os, "fork") or _openblas_threads() is None:
 
         def drawn_here():
             g = None  # the first draw's array is the buffer of every later one
@@ -583,16 +584,10 @@ def run_theorem2(config: ExperimentConfig, diagnostics: bool = False):
 
 
 @_one_blas_thread()
-def run_theorem1(
-    config: ExperimentConfig,
-    gamma: float | None = None,
-    eta: float | None = None,
-    convention: str | None = None,
-    diagnostics: bool = False,
-):
-    """Size sweep with ``delta = N**-gamma`` and the ``N*`` cutoff.
+def run_theorem1(config: ExperimentConfig, diagnostics: bool = False):
+    """Size sweep with ``delta = N**-gamma`` and the ``N*`` cutoff, at the
+    config's ``gamma``, ``eta`` and ``convention``.
 
-    Explicit ``gamma``/``eta``/``convention`` arguments override the config;
     ``diagnostics`` is as in :func:`run_theorem2`.
     Sweep steps whose right side is ``-inf`` (possible under the inclusive
     convention on exactly singular spectra) are recorded and flagged, and
@@ -602,11 +597,7 @@ def run_theorem1(
     """
     if config.mode != "sweep":
         raise ConfigError(f"run_theorem1 needs mode 'sweep', got {config.mode!r}")
-    gamma = config.params.gamma if gamma is None else float(gamma)
-    eta = config.params.eta if eta is None else float(eta)
-    convention = config.convention if convention is None else convention
-    if convention not in CONVENTIONS:
-        raise ConfigError(f"unknown convention {convention!r}; choose from {CONVENTIONS}")
+    gamma, eta, convention = config.params.gamma, config.params.eta, config.convention
 
     records: list[TrialRecord] = []
     per_n = []

@@ -205,9 +205,10 @@ def markov_tail_check(model: str, n: int, trials: int, tau_list, seed: int = 0) 
 
 def _frequencies(n: int, betas, gamma: float | None = None):
     """Values -> each beta, its threshold ``N^-beta`` (``N^-(gamma + beta)`` given ``gamma``) and the share
-    of values at or below it.  Every ``N^-beta`` is taken here first, so an overflow is named before any draw."""
-    thresholds = [_size_power(n, "beta", b, -1.0) for b in betas]
-    if gamma is not None:
+    of values at or below it.  Every threshold is taken here first, so an overflow is named before any draw."""
+    if gamma is None:
+        thresholds = [_size_power(n, "beta", b, -1.0) for b in betas]
+    else:
         thresholds = [_size_power(n, "gamma + beta", gamma + b, -1.0) for b in betas]
     return lambda v: [dict(beta=b, threshold=t, frequency=float(np.mean(v <= t))) for b, t in zip(betas, thresholds)]
 

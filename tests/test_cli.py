@@ -224,11 +224,13 @@ def test_config_errors_exit_three(argv, capsys):
         (["probe-noise", "--n", "0", "--trials", "100", "--n-list", "4,8"], "matrix size must be >= 1, got 0"),
         (["sweep", "--matrix", "jordan", "--n", "8", "--n-list", "8,16", "--gamma", "0.3"],
          "gamma must exceed 1/2, got 0.3"),
-        (["equiv", "--matrix", "jordan", "--n", "8", "--workers", "0"], "workers must be >= 1, got 0"),
+        (["grushin-verify", "--matrix", "jordan", "--n", "8", "--workers", "0"], "workers must be >= 1, got 0"),
         (["sweep", "--matrix", "jordan", "--n", "8"], "sweep mode needs a nonempty N_list"),
         (["field", "--matrix", "jordan", "--n", "8"], "field mode needs a z_grid"),
         (["field", "--matrix", "jordan", "--n", "8", "--re-min", "0"],
          "config.z_grid: missing keys ['re_max', 'im_min', 'im_max', 'steps']"),
+        (["sweep", "--config", "configs/jordan_sweep.json", "--workers", "0"], "workers must be >= 1, got 0"),
+        (["field", "--config", "configs/field_jordan.json", "--workers", "0"], "workers must be >= 1, got 0"),
     ],
 )
 def test_given_flag_is_checked_like_a_config_value(capsys, argv, named):
@@ -250,24 +252,24 @@ def test_malformed_json_exit_three(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
-def test_workers_env_var_junk(monkeypatch, capsys):
+def test_no_environment_variable_sets_a_worker_count(monkeypatch, capsys):
     monkeypatch.setenv("LOGDET_EQUIV_WORKERS", "many")
-    code = cli.main(
-        ["mc", "--matrix", "diag:2x9,0x3", "--n", "12", "--alpha", "1.0",
-         "--delta", "1e-4", "--gamma", "4.0", "--trials", "2"]
-    )
-    assert code == 3
-    assert "LOGDET_EQUIV_WORKERS" in capsys.readouterr().err
-
-
-def test_workers_env_var_used(monkeypatch, capsys):
-    monkeypatch.setenv("LOGDET_EQUIV_WORKERS", "3")
     code = cli.main(
         ["mc", "--matrix", "diag:2x9,0x3", "--n", "12", "--alpha", "1.0",
          "--delta", "1e-4", "--gamma", "4.0", "--trials", "5"]
     )
     assert code == 0
-    assert "trials = 5" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "trials = 5" in captured.out and captured.err == ""
+
+
+def test_sweep_flags_override_the_config(tmp_path, capsys):
+    argv = ["sweep", "--config", "configs/jordan_sweep.json", "--n-list", "8,16", "--trials", "2", "--gamma", "0.8",
+            "--eta", "0.05", "--convention", "inclusive", "--out", str(tmp_path / "s")]
+    assert cli.main(argv) == 0
+    assert "convention = inclusive, gamma = 0.8, eta = 0.05" in capsys.readouterr().out
+    summary = json.loads((tmp_path / "s_summary.json").read_text())
+    assert (summary["gamma"], summary["eta"], summary["convention"]) == (0.8, 0.05, "inclusive")
 
 
 def test_sweep_from_flags(capsys):
@@ -372,7 +374,8 @@ def test_hostile_config_values_exit_three(tmp_path, capsys, section, key, value)
         ("equiv", {"alpha": "auto", "L": -400.0}, [], "L = -400.0"),
         ("grushin-verify", {"alpha": "auto", "L": -400.0}, [], "L = -400.0"),
         ("sweep", {"eta": 1000.0}, ["--matrix", "jordan", "--n-list", "8,16"], "eta - gamma = 996.0"),
-        ("mc", {"beta": -1000.0}, ["--probe-eps"], "beta = -1000.0"),
+        # mc's probe reads only its rescaled thresholds N^-(gamma + beta), so it names their exponent.
+        ("mc", {"beta": -1000.0}, ["--probe-eps"], "gamma + beta = -996.0"),
         ("probe-noise", {}, ["--n", "12", "--trials", "100", "--n-list", "4,8", "--tau-list", "2",
                              "--beta-list=1,-1000"], "beta = -1000.0"),
     ],
@@ -560,7 +563,7 @@ def non_finite(text) -> bool:
 @pytest.mark.parametrize("command", sorted(FLAG_FUZZ_BASES))
 def test_cli_flag_fuzz_bases_run(capsys, command):
     argv, _ = FLAG_FUZZ_BASES[command]
-    assert cli.main([*argv, "--workers", "1"]) == 0, capsys.readouterr().err
+    assert cli.main(argv) == 0, capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", sorted(FLAG_FUZZ_BASES))
@@ -570,9 +573,8 @@ def test_cli_with_one_flag_set_to_any_value(capsys, command, data):
     argv, extra_flags = FLAG_FUZZ_BASES[command]
     flag = data.draw(st.sampled_from(COMMON_VALUE_FLAGS + extra_flags))
     value = data.draw(FLAG_VALUES)
-    workers = [] if flag == "--workers" else ["--workers", "1"]
     try:
-        code = cli.main([*argv, *workers, f"{flag}={value}"])
+        code = cli.main([*argv, f"{flag}={value}"])
     except SystemExit as exc:  # argparse rejects the command line
         code = exc.code
     err = capsys.readouterr().err
@@ -710,7 +712,7 @@ def test_probe_noise_rejects_non_finite_values_before_sampling(monkeypatch, caps
 # ---------------------------------------------------------------------------
 # one flag table: each subcommand takes the flags it reads, none abbreviated
 
-EQUIV_FLAGS = {"--config", "--matrix", "--n", "--shift", "--alpha", "--gamma", "--eta", "--nu-target", "--workers"}
+EQUIV_FLAGS = {"--config", "--matrix", "--n", "--shift", "--alpha", "--gamma", "--eta", "--nu-target"}
 
 
 def test_equiv_help_lists_exactly_the_flags_it_reads(capsys):
@@ -722,7 +724,7 @@ def test_equiv_help_lists_exactly_the_flags_it_reads(capsys):
 
 @pytest.mark.parametrize(
     "flag", ["--out=X", "--seed=1", "--trials=2", "--model=real_gaussian", "--delta=0.5", "--tau=1",
-             "--headroom=0.1", "--convention=drop_all_small"],
+             "--headroom=0.1", "--convention=drop_all_small", "--workers=1"],
 )
 def test_equiv_rejects_flags_it_does_not_read(capsys, flag):
     with pytest.raises(SystemExit) as exc:
@@ -752,43 +754,54 @@ def test_no_subcommand_accepts_an_abbreviated_flag(capsys, argv, flag):
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
-def test_a_delta_that_overflows_the_suite_exits_three(capsys):
-    # A + delta G overflows, so the suite stops before any inverse or SVD of the perturbed system.  With two
-    # trials a helper process draws the noise and finds nothing to measure, so this process meets the overflow.
-    for trials in ("1", "2"):
-        argv = ["grushin-verify", "--matrix", "diag:2x10,0x2", "--n", "12", "--alpha", "1.0", "--delta", "1e308",
-                "--trials", trials, "--workers", "1"]
-        with np.errstate(all="ignore"):
-            assert cli.main(argv) == 3
-        err = capsys.readouterr().err
-        assert err == "configuration error: A + delta G overflows a float at delta = 1e+308\n"
-        assert "Traceback" not in err
-        assert_no_child_left()
+def test_a_delta_that_overflows_the_suite_exits_three(monkeypatch, capsys):
+    # A + delta G overflows, so the suite stops before any inverse or SVD of the perturbed system.  A helper
+    # process that draws the noise finds nothing to measure, so this process meets the overflow; without
+    # os.fork the draws are taken here and it meets it all the same.
+    for draws_here in (False, True):
+        if draws_here:
+            monkeypatch.delattr(os, "fork")
+        for trials in ("1", "2"):
+            argv = ["grushin-verify", "--matrix", "diag:2x10,0x2", "--n", "12", "--alpha", "1.0", "--delta",
+                    "1e308", "--trials", trials, "--workers", "1"]
+            with np.errstate(all="ignore"):
+                assert cli.main(argv) == 3
+            err = capsys.readouterr().err
+            assert err == "configuration error: A + delta G overflows a float at delta = 1e+308\n"
+            assert "Traceback" not in err
+            assert_no_child_left()
 
 
 def test_an_overflowing_suite_prints_one_line_and_no_warning():
     # A subprocess sees numpy's RuntimeWarnings on stderr, which pytest's warning filter would turn into errors;
-    # with two trials the helper process shares that stderr.
+    # the helper process shares that stderr.  The second command deletes os.fork, so the draws are taken in
+    # the process that meets the overflow.
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    for trials in ("1", "2"):
-        argv = ["grushin-verify", "--matrix", "diag:2x10,0x2", "--n", "12", "--alpha", "1.0", "--delta", "1e308",
-                "--trials", trials, "--workers", "1"]
-        run = subprocess.run([sys.executable, "-m", "logdet_equiv.cli", *argv], env=env, capture_output=True,
-                             text=True, timeout=120)
-        assert run.returncode == 3
-        assert run.stderr == "configuration error: A + delta G overflows a float at delta = 1e+308\n"
+    without_fork = "import os, sys; del os.fork; from logdet_equiv import cli; sys.exit(cli.main(sys.argv[1:]))"
+    for command in (["-m", "logdet_equiv.cli"], ["-c", without_fork]):
+        for trials in ("1", "2"):
+            argv = ["grushin-verify", "--matrix", "diag:2x10,0x2", "--n", "12", "--alpha", "1.0", "--delta",
+                    "1e308", "--trials", trials, "--workers", "1"]
+            run = subprocess.run([sys.executable, *command, *argv], env=env, capture_output=True, text=True,
+                                 timeout=120)
+            assert run.returncode == 3
+            assert run.stderr == "configuration error: A + delta G overflows a float at delta = 1e+308\n"
 
 
-def test_a_bordered_inverse_that_overflows_in_the_suite_exits_three(capsys):
-    # A + 3e306 G is finite, but the inverse of its bordered system is not.
-    for trials in ("1", "2"):
-        argv = ["grushin-verify", "--matrix", "diag:2x190,0x10", "--n", "200", "--alpha", "1.0", "--delta", "3e306",
-                "--trials", trials, "--workers", "1"]
-        assert cli.main(argv) == 3
-        err = capsys.readouterr().err
-        assert err == "configuration error: A + delta G overflows a float at delta = 3e+306\n"
-        assert_no_child_left()
+def test_a_bordered_inverse_that_overflows_in_the_suite_exits_three(monkeypatch, capsys):
+    # A + 3e306 G is finite, but the inverse of its bordered system is not; with the helper, and with the
+    # draws taken in this process as where os.fork is missing.
+    for draws_here in (False, True):
+        if draws_here:
+            monkeypatch.delattr(os, "fork")
+        for trials in ("1", "2"):
+            argv = ["grushin-verify", "--matrix", "diag:2x190,0x10", "--n", "200", "--alpha", "1.0", "--delta",
+                    "3e306", "--trials", trials, "--workers", "1"]
+            assert cli.main(argv) == 3
+            err = capsys.readouterr().err
+            assert err == "configuration error: A + delta G overflows a float at delta = 3e+306\n"
+            assert_no_child_left()
 
 
 def test_an_lu_that_overflows_in_a_field_exits_three(tmp_path, capsys):

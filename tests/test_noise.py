@@ -282,3 +282,12 @@ def test_an_unknown_noise_model_is_one_parameter_error():
         ExperimentConfig(matrix=MatrixSpec(kind="zero", n=4), model="white_noise")
     assert str(drawn.value) == str(configured.value)
     assert str(drawn.value) == f"unknown noise model 'white_noise'; choose from {NOISE_KINDS}"
+
+
+def test_the_rescaled_frequencies_take_only_their_own_thresholds():
+    # gamma + beta = 1 gives the one threshold 8^-1, while the plain N^-beta = 8^400 would overflow a float.
+    rates = noise._rescaled_frequencies(np.eye(8), "complex_ginibre", 3, [-400.0], 1, 1e-3, 401.0)
+    assert rates == [{"beta": -400.0, "threshold": 0.125, "frequency": 0.0}]
+    # The probe's plain variant reads N^-beta, so it still names that overflow before any draw.
+    with pytest.raises(ValueError, match=r"beta = -400.0: N\^\(-beta\) overflows a float at N = 8"):
+        anti_concentration_probe(np.eye(8), "complex_ginibre", 3, [-400.0], 1, delta=1e-3, gamma=401.0)

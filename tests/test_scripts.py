@@ -37,7 +37,7 @@ def test_calibration_samples_are_the_jordan_trials():
 
 def test_delta_budget_sweep_prints_one_row_per_point(monkeypatch, capsys):
     monkeypatch.chdir(ROOT)
-    monkeypatch.setattr(sys, "argv", ["delta_budget_sweep.py", "--points", "2", "--trials", "2", "--workers", "1"])
+    monkeypatch.setattr(sys, "argv", ["delta_budget_sweep.py", "--points", "2", "--trials", "2"])
     load_script("delta_budget_sweep").main()
     lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0].startswith("N = 200, alpha = ")
@@ -67,7 +67,7 @@ def test_run_benchmarks_runs_each_config_with_its_command(monkeypatch, capsys, t
     }
     for name, config in configs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps({**config, "output": str(tmp_path / "out" / name)}))
-    argv = ["run_benchmarks.py", "--configs", str(tmp_path / "*.json"), "--trials", "1", "--workers", "1"]
+    argv = ["run_benchmarks.py", "--configs", str(tmp_path / "*.json"), "--trials", "1"]
     monkeypatch.setattr(sys, "argv", argv)
     assert load_script("run_benchmarks").main() == 0
     headers = [line for line in capsys.readouterr().out.split("\n") if line.startswith("== ")]
@@ -85,7 +85,7 @@ def test_run_benchmarks_picks_the_command_from_the_file_name_alone(monkeypatch, 
     lab.mkdir()
     config = {"matrix": {"kind": "jordan", "n": 8}, "model": "complex_ginibre", "params": {"alpha": 0.5}, "trials": 1}
     (lab / "mc_only.json").write_text(json.dumps(config))
-    monkeypatch.setattr(sys, "argv", ["run_benchmarks.py", "--configs", str(lab / "*.json"), "--workers", "1"])
+    monkeypatch.setattr(sys, "argv", ["run_benchmarks.py", "--configs", str(lab / "*.json")])
     assert load_script("run_benchmarks").main() == 0
     headers = [line for line in capsys.readouterr().out.split("\n") if line.startswith("== ")]
     assert headers == [f"== {lab / 'mc_only.json'} (mc) =="]
@@ -103,9 +103,9 @@ EMPTY_WINDOW = {
     "name, argv, named",
     [
         ("delta_budget_sweep", ["--config", "{tmp}/missing.json"], "config file not found: {tmp}/missing.json"),
-        ("delta_budget_sweep", ["--config", "{tmp}/empty.json", "--points", "2", "--trials", "2", "--workers", "1"],
+        ("delta_budget_sweep", ["--config", "{tmp}/empty.json", "--points", "2", "--trials", "2"],
          "admissible delta window is empty: [0.2252, 2.887e-06]; raise gamma or loosen alpha/tau"),
-        ("run_benchmarks", ["--configs", "{tmp}/bad*.json", "--workers", "1"], "{tmp}/bad.json: line 1, column 2"),
+        ("run_benchmarks", ["--configs", "{tmp}/bad*.json"], "{tmp}/bad.json: line 1, column 2"),
     ],
 )
 def test_scripts_report_a_bad_config_like_the_command_line(tmp_path, name, argv, named):
@@ -125,19 +125,17 @@ def test_scripts_report_a_bad_config_like_the_command_line(tmp_path, name, argv,
     "name, argv, named",
     [
         ("delta_budget_sweep", ["--config", "{tmp}/configs"], "i/o error: "),
-        ("delta_budget_sweep", ["--config", "{tmp}/nan.json", "--points", "2", "--trials", "2", "--workers", "1"],
+        ("delta_budget_sweep", ["--config", "{tmp}/nan.json", "--points", "2", "--trials", "2"],
          "configuration error: matrix entries must be finite"),
         ("calibrate_jordan_band", ["--sizes", "0", "--trials", "5"],
          "configuration error: matrix size must be >= 1, got 0"),
-        ("run_benchmarks", ["--configs", "{tmp}/only_dir/*.json", "--workers", "1"], "i/o error: "),
+        ("run_benchmarks", ["--configs", "{tmp}/only_dir/*.json"], "i/o error: "),
         ("calibrate_jordan_band", ["--sizes", "5", "--trials", "0"], "configuration error: trials must be >= 1, got 0"),
-        ("delta_budget_sweep", ["--points", "0", "--trials", "2", "--workers", "1"],
+        ("delta_budget_sweep", ["--points", "0", "--trials", "2"],
          "configuration error: points must be >= 1, got 0"),
-        ("delta_budget_sweep", ["--points", "2", "--trials", "2", "--workers", "0"],
-         "configuration error: workers must be >= 1, got 0"),
     ],
     ids=["sweep-config-is-a-directory", "sweep-nan-matrix-cell", "calibrate-size-zero", "benchmarks-glob-hits-a-directory",
-         "calibrate-trials-zero", "sweep-points-zero", "sweep-workers-zero"],
+         "calibrate-trials-zero", "sweep-points-zero"],
 )
 def test_scripts_exit_through_the_command_line_error_path(tmp_path, name, argv, named):
     (tmp_path / "configs").mkdir()
@@ -153,3 +151,12 @@ def test_scripts_exit_through_the_command_line_error_path(tmp_path, name, argv, 
     assert run.returncode == 3
     assert run.stderr.startswith(named)
     assert "Traceback" not in run.stderr
+
+
+@pytest.mark.parametrize("name", ["delta_budget_sweep", "run_benchmarks"])
+def test_scripts_take_no_worker_count(monkeypatch, capsys, name):
+    monkeypatch.setattr(sys, "argv", [f"{name}.py", "--workers", "1"])
+    with pytest.raises(SystemExit) as exc:
+        load_script(name).main()
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers 1" in capsys.readouterr().err

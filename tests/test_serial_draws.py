@@ -117,10 +117,10 @@ def test_outputs_depend_on_neither_the_workers_nor_the_blas_threads(tmp_path, ar
         write_matrix_csv(sample("complex_ginibre", 400, 3) / 20, tmp_path / "dense400.csv")
     outputs = set()
     for threads in ("1", "2"):
+        if artifact is None:  # equiv samples nothing and takes no --workers
+            outputs.add(run_cli(argv, threads))
+            continue
         for workers in ("1", "2"):
-            if artifact is None:
-                outputs.add(run_cli([*argv, "--workers", workers], threads))
-                continue
             prefix = tmp_path / f"threads{threads}-workers{workers}"
             stdout = run_cli([*argv, "--workers", workers, "--out", str(prefix)], threads)
             summary = json.loads(Path(f"{prefix}_summary.json").read_text(encoding="utf-8"))
@@ -205,16 +205,15 @@ def test_a_serial_run_draws_in_one_helper_per_run_step_or_field(monkeypatch):
         lambda: run_theorem2(SINGLE, diagnostics=True),
         lambda: run_grushin_suite(GRUSHIN),
     ]
+    runs.append(lambda: run_theorem2(replace(SINGLE, trials=1)))  # one draw opens a helper like any run
     helped = [run() for run in runs]
-    assert len(pids) == 1 + len(SWEEP.n_list) + 1 + 1 + 1
+    assert len(pids) == 1 + len(SWEEP.n_list) + 1 + 1 + 1 + 1
     assert drawn_here == [] and normed_here == []
-    run_theorem2(replace(SINGLE, trials=1))  # one draw: no helper
-    assert len(pids) == 7 and drawn_here == [os.getpid()]
     assert_no_child_left()
     # The reference: every draw taken in this process, as where os.fork is missing.
     monkeypatch.delattr(os, "fork")
     assert [run() for run in runs] == helped
-    assert len(pids) == 7
+    assert len(pids) == 8 and drawn_here
 
 
 @needs_pin
