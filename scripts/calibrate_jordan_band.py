@@ -15,17 +15,18 @@ import sys
 
 import numpy as np
 
-from logdet_equiv import ExperimentConfig, MatrixSpec, cli, realize
-from logdet_equiv.experiments import _one_blas_thread, _serial_draws, _trial
+from logdet_equiv import MatrixSpec, cli, realize
+from logdet_equiv.experiments import _trial
+from logdet_equiv.linalg import _one_blas_thread
+from logdet_equiv.noise import _serial_draws
 
 
 def x_samples(n: int, delta: float, trials: int, seed: int) -> np.ndarray:
     """X for ``trials`` complex Ginibre draws on the N x N Jordan block; trial k
     is the harness's trial k of work unit N (substream ``(seed, N, k)``)."""
-    config = ExperimentConfig(matrix=MatrixSpec(kind="jordan", n=n), model="complex_ginibre", seed=seed, trials=trials)
-    a = realize(config.matrix)
-    with _one_blas_thread(), _serial_draws(config, n, [n]) as draws:
-        return np.array([n * _trial(a, delta, draws)[1] - math.log(delta) for _ in range(config.trials)])
+    a = realize(MatrixSpec(kind="jordan", n=n))
+    with _one_blas_thread(), _serial_draws("complex_ginibre", n, seed, trials, [n]) as draws:
+        return np.array([n * _trial(a, delta, draws)[1] - math.log(delta) for _ in range(trials)])
 
 
 def main() -> None:
@@ -38,6 +39,8 @@ def main() -> None:
     parser.add_argument("--target-delta", type=float, default=1e-10)
     parser.add_argument("--band", type=float, default=0.1, help="|lhs| band to check at the target size")
     args = parser.parse_args()
+    if args.trials < 1:
+        raise ValueError(f"trials must be >= 1, got {args.trials}")
 
     sizes = [int(s) for s in args.sizes.split(",")]
     qs = (0.01, 0.05, 0.5, 0.95, 0.99)

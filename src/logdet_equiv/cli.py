@@ -22,7 +22,6 @@ from .experiments import (
     ExperimentConfig,
     _cutoff,
     _n_star_step,
-    _one_blas_thread,
     config_from_dict,
     config_to_dict,
     log_potential_field,
@@ -32,8 +31,9 @@ from .experiments import (
     run_theorem2,
     write_results,
 )
-from .linalg import NumericalError
-from .noise import NOISE_KINDS, anti_concentration_probe, markov_tail_check, norm_growth_probe, substream_seed
+from .linalg import NumericalError, _one_blas_thread
+from .noise import NOISE_KINDS, _frequencies, _tail_taus, anti_concentration_probe, markov_tail_check
+from .noise import norm_growth_probe, substream_seed
 
 EXIT_OK = 0
 EXIT_VERIFY = 2
@@ -112,17 +112,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_number_list(text, kind=float):
-    return tuple(kind(part) for part in text.split(",") if part.strip())
-
-
-def _finite_list(text, flag: str) -> tuple:
-    """A comma-separated list of finite floats; ConfigError naming ``flag`` otherwise."""
-    values = _parse_number_list(text)
-    bad = [v for v in values if not math.isfinite(v)]
-    if bad:
-        raise ConfigError(f"{flag}: expected finite numbers, got {bad[0]!r}")
-    return values
+def _number_list(text, flag: str, kind=float) -> tuple:
+    """A comma-separated list of finite ``kind`` values; ConfigError naming ``flag`` and the first entry that is not."""
+    values = []
+    for part in filter(None, (part.strip() for part in text.split(","))):
+        try:
+            values.append(kind(part))
+        except ValueError:
+            values.append(math.nan)
+        if not math.isfinite(values[-1]):
+            raise ConfigError(f"{flag}: expected {'integers' if kind is int else 'finite numbers'}, got {part}")
+    return tuple(values)
 
 
 def _given(args, names) -> dict:
@@ -151,7 +151,7 @@ def _resolve_config(args, mode: str) -> ExperimentConfig:
     d["mode"] = mode
     if mode == "sweep":
         if args.n_list is not None:
-            d["N_list"] = _parse_number_list(args.n_list, int)
+            d["N_list"] = _number_list(args.n_list, "--n-list", int)
     elif mode == "field":
         grid = _given(args, GRID_FLAGS)
         if grid:
@@ -257,9 +257,9 @@ def _cmd_field(args) -> int:
 
 
 def _cmd_probe_noise(args) -> int:
-    sizes = _parse_number_list(args.n_list, int) if args.n_list is not None else (50, 100, 200)
-    taus = _finite_list(args.tau_list, "--tau-list") if args.tau_list is not None else (2.0, 5.0, 10.0)
-    betas = _finite_list(args.beta_list, "--beta-list") if args.beta_list is not None else (0.5, 1.0, 2.0)
+    sizes = _number_list(args.n_list, "--n-list", int) if args.n_list is not None else (50, 100, 200)
+    taus = _number_list(args.tau_list, "--tau-list") if args.tau_list is not None else (2.0, 5.0, 10.0)
+    betas = _number_list(args.beta_list, "--beta-list") if args.beta_list is not None else (0.5, 1.0, 2.0)
     if args.config is None:
         # Without a config the probes run 200 trials on the 200 x 200 zero matrix.
         for name, default in (("matrix", "zero"), ("n", 200), ("trials", 200)):
@@ -268,7 +268,9 @@ def _cmd_probe_noise(args) -> int:
     config = _resolve_config(args, "single")
     model, n, trials, seed = config.model, config.matrix.n, config.trials, config.seed
     d = realize(config.matrix)
-
+    # The growth probe checks its arguments before it draws; the other two probes' checks run first here.
+    _tail_taus(model, trials, taus)
+    _frequencies(n, betas)
     with _one_blas_thread():
         growth = norm_growth_probe(model, sizes, min(trials, 50), substream_seed(seed, 0))
         markov = markov_tail_check(model, n, trials, taus, seed=substream_seed(seed, 1))

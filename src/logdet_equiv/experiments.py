@@ -14,21 +14,11 @@ field
     The log-potential map ``z -> (1/N) log |det (z I - A + delta G)|`` over a
     rectangular grid (:func:`log_potential_field`).
 
-Trial loop: every ``mc``, ``sweep``, ``field`` and ``grushin-verify`` run makes
-its LAPACK calls with the loaded OpenBLAS pinned to one thread
-(:func:`_one_blas_thread`) and runs its trials in turn, each taking its noise
-from :func:`_serial_draws`.  Where it can, that is a forked helper process
-that draws the noise one trial ahead into a two-slot shared ring while this
-process factors: one helper per single run, per sweep step, per field run and
-per suite, whatever its number of trials.  It also takes what a trial needs of
-``G`` alone: ``||G||`` with ``diagnostics``, and in the suite ``||G||`` and the
-log-determinant and singular values of ``A + delta G``.  Only where ``os.fork``
-or the pin is missing do the trials draw in process, into one array kept while
-the loop lasts.
-
-Reproducibility: trial ``k`` of work unit ``b`` (sweep step or grid point;
-0 in single mode) always draws from ``substream_seed(seed, b, k)``, so output
-is byte-identical whether or not a helper draws it, and for any
+Reproducibility: every run is pinned to one BLAS thread
+(``linalg._one_blas_thread``) and runs its trials in turn, trial ``k`` of work
+unit ``b`` (sweep step or grid point; 0 in single mode) drawing from
+``substream_seed(seed, b, k)`` through ``noise._serial_draws``.  So output is
+byte-identical whether or not a helper draws it, and for any
 ``OPENBLAS_NUM_THREADS`` where the pin holds (at a fixed BLAS thread count
 where it does not), and a one-point field run coincides with a single-mode
 run on the shifted matrix, stream for stream.
@@ -38,12 +28,9 @@ from __future__ import annotations
 
 import cmath
 import csv
-import functools
 import json
 import math
 import os
-import warnings
-from contextlib import contextmanager, suppress
 from dataclasses import MISSING, astuple, dataclass, field, fields, replace
 from sys import float_info
 
@@ -79,8 +66,9 @@ from .grushin import (
     schur_logdet,
     assemble,
 )
-from .linalg import NumericalError, log_abs_det, operator_norm, singular_values, smallest_singular_value
-from .noise import NormGrowthFit, ProbeResult, _check_kind, _rescaled_frequencies, sample, substream_seed
+from .linalg import NumericalError, _one_blas_thread, log_abs_det, operator_norm, singular_values
+from .linalg import smallest_singular_value
+from .noise import NormGrowthFit, ProbeResult, _check_kind, _rescaled_frequencies, _serial_draws, substream_seed
 
 __all__ = [
     "ConfigError",
@@ -278,180 +266,6 @@ def _quantile_block(values) -> dict:
     }
 
 
-def _draw(config: ExperimentConfig, n: int, block: int, k: int, out: np.ndarray | None = None):
-    """The noise of trial ``k`` of work unit ``block``: ``(seed_used, G)``, drawn into ``out`` if given."""
-    sub = substream_seed(config.seed, block, k)
-    return sub, sample(config.model, n, sub, out)
-
-
-@functools.cache
-def _openblas_threads():
-    """``(get, set)``, the thread-count functions ``scipy_openblas_{get,set}_num_threads64_`` of the
-    OpenBLAS that numpy loaded (numpy's own wheels export them), or None where no loaded library
-    has them or nothing says which libraries are loaded."""
-    import ctypes
-
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = sorted({line.split(None, 5)[5].strip() for line in fh if "openblas" in line})
-        libs = [ctypes.CDLL(path) for path in paths]
-    except OSError:
-        return None
-    for lib in libs:
-        try:
-            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-        except AttributeError:
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        return get, set_
-    return None
-
-
-@contextmanager
-def _one_blas_thread():
-    """The loaded OpenBLAS at one thread inside the block, its old count restored after; a no-op
-    where :func:`_openblas_threads` finds none.  The bits of an LU or an SVD at N >= 200 depend on
-    the thread count, so this makes a run's outputs independent of ``OPENBLAS_NUM_THREADS``."""
-    threads = _openblas_threads()
-    if threads is None:
-        yield
-        return
-    get, set_ = threads
-    old = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(old)
-
-
-# What os.fork warns on Python >= 3.12 when /proc/self/stat counts more than one thread.
-_FORK_WARNING = r"This process \(pid=\d+\) is multi-threaded, use of fork\(\) may lead to deadlocks in the child\."
-
-
-def _fork() -> int:
-    """``os.fork()`` without :data:`_FORK_WARNING`, which counts any thread: an OpenBLAS worker or
-    one of the caller's (the package starts none).  It is safe to drop for :func:`_helper`, which
-    runs numpy's RNG and ufuncs on a generator it makes itself, ``os.read``/``os.write``, and
-    LAPACK.  Only a pinned run forks, so the child inherits OpenBLAS at one thread and runs each
-    LAPACK call on its own thread, starting no worker; OpenBLAS's own fork handler has stopped the
-    parent's idle workers before the fork, and the forking thread is in no BLAS call.  So the child
-    waits on no lock that a thread lost in the fork could hold."""
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
-        return os.fork()
-
-
-def _measured(measure, g: np.ndarray) -> bytes:
-    """The values ``fn(g)`` of ``measure = (width, fn)`` as ``width`` float64s, all NaN where ``fn``
-    raised or met a floating-point error numpy would warn of, so that the main process takes them
-    itself and meets the error there; no bytes without ``measure``."""
-    if measure is None:
-        return b""
-    width, fn = measure
-    try:
-        with warnings.catch_warnings(), np.errstate(divide="raise", over="raise", invalid="raise"):
-            warnings.simplefilter("error")
-            values = np.asarray(fn(g), dtype=np.float64).reshape(width)
-    except Exception:
-        values = np.full(width, np.nan)
-    return values.tobytes()
-
-
-def _helper(config: ExperimentConfig, n: int, keys, slots, drawn: int, free: int, measure):
-    """The helper process of :func:`_serial_draws`: draw ``keys`` in turn into alternate ``slots``,
-    each slot once it came back on ``free``, and send each ``seed_used`` with the values ``measure``
-    takes of that ``G`` on ``drawn``.  It stops at an end of file on ``free`` (the main process is
-    gone) and leaves through ``os._exit``, so no handler or buffer of the main process runs twice."""
-    status = 1
-    try:
-        for i, (block, k) in enumerate(keys):
-            if i >= 2 and not os.read(free, 1):
-                break
-            sub, g = _draw(config, n, block, k, slots[i % 2])
-            message = memoryview(sub.to_bytes(8, "little") + _measured(measure, g))
-            while message:
-                message = message[os.write(drawn, message):]
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _read_exactly(fd: int, size: int) -> bytes:
-    """``size`` bytes from ``fd``, fewer only at an end of file."""
-    data = b""
-    while len(data) < size:
-        chunk = os.read(fd, size - len(data))
-        if not chunk:
-            break
-        data += chunk
-    return data
-
-
-@contextmanager
-def _serial_draws(config: ExperimentConfig, n: int, blocks, measure=None):
-    """The noise of a trial loop over trials ``0..trials-1`` of each of ``blocks`` in turn: an
-    iterator of ``(seed_used, G, values)`` whose ``G`` lasts until the next is taken.  A forked
-    helper process draws it one trial ahead while this one factors.  Only where ``os.fork`` or the
-    BLAS pin is missing (an unpinned LU would take the helper's core for its second BLAS thread)
-    are the draws taken here, in turn, into one ``N x N`` array.
-
-    ``measure``, when given, is ``(width, fn)``: the helper also takes ``fn(G)``, ``width`` floats
-    that leave ``G`` as drawn, and ``values`` is them as a float64 array.  ``values`` is None
-    without ``measure`` or a helper, and where one of them is NaN (``fn`` failed, see
-    :func:`_measured`): then the trial takes them itself.
-
-    The helper (:func:`_helper`) draws into a two-slot shared ``mmap`` ring.  One pipe carries each
-    ``seed_used`` and its values, the other hands a slot back once its trial is done.  Leaving the
-    block closes both pipes and reaps the helper, also when a trial raised; a helper that died
-    early makes the next draw raise NumericalError."""
-    keys = [(block, k) for block in blocks for k in range(config.trials)]
-    if not hasattr(os, "fork") or _openblas_threads() is None:
-
-        def drawn_here():
-            g = None  # the first draw's array is the buffer of every later one
-            for block, k in keys:
-                sub, g = _draw(config, n, block, k, g)
-                yield sub, g, None
-
-        yield drawn_here()
-        return
-    import mmap
-
-    slots = np.frombuffer(mmap.mmap(-1, 2 * 16 * n * n), dtype=np.complex128).reshape(2, n, n)
-    size = 8 * (1 + (measure[0] if measure else 0))
-    drawn_r, drawn_w = os.pipe()
-    free_r, free_w = os.pipe()
-    pid = _fork()
-    if pid == 0:
-        os.close(drawn_r)
-        os.close(free_w)
-        _helper(config, n, keys, slots, drawn_w, free_r, measure)
-    os.close(drawn_w)
-    os.close(free_r)
-
-    def draws():
-        for i, (block, k) in enumerate(keys):
-            message = _read_exactly(drawn_r, size)
-            if len(message) < size:
-                raise NumericalError(f"the noise helper process exited before trial {k} of work unit {block}")
-            values = np.frombuffer(message, dtype=np.float64, offset=8) if measure else None
-            if values is not None and np.isnan(values).any():
-                values = None
-            yield int.from_bytes(message[:8], "little"), slots[i % 2], values
-            if i + 2 < len(keys):
-                with suppress(BrokenPipeError):  # a dead helper is reported by the next read
-                    os.write(free_w, b"\0")
-
-    try:
-        yield draws()
-    finally:
-        os.close(drawn_r)
-        os.close(free_w)
-        os.waitpid(pid, 0)
-
-
 def _trial(a: np.ndarray, delta: float, draws, diagnostics: bool = False):
     """The trial whose noise is the next of ``draws``, a :func:`_serial_draws` iterator (with
     ``||G||`` as its values when ``diagnostics`` is set): ``(seed_used, lhs, ||G||,
@@ -495,7 +309,7 @@ def _trial_records(config, a, delta, block, rhs, alpha, m, error_bound, diagnost
 
     # With diagnostics the helper takes ||G||, so each trial leaves it only the LU and s_min(A + delta G).
     measure = (1, lambda g: [operator_norm(g)]) if diagnostics else None
-    with _serial_draws(config, n, [block], measure) as draws:
+    with _serial_draws(config.model, n, config.seed, config.trials, [block], measure) as draws:
         return [one(k) for k in range(config.trials)]
 
 
@@ -679,7 +493,8 @@ def run_grushin_suite(config: ExperimentConfig):
         a_delta = a + delta * g
         return [operator_norm(g), log_abs_det(a_delta), *(singular_values(a_delta) if params.m else ())]
 
-    with _serial_draws(config, n, [0], (2 + (n if params.m else 0), measure)) as draws:
+    measured = (2 + (n if params.m else 0), measure)
+    with _serial_draws(config.model, n, config.seed, config.trials, [0], measured) as draws:
         sys, blocks = build_grushin(a, params.m)
         # count_below puts alpha in [t_m, t_{m+1}) by construction, the window
         # the unperturbed norm estimates require.
@@ -777,7 +592,7 @@ def log_potential_field(config: ExperimentConfig):
         sd = float(values.std(ddof=1)) if values.size > 1 else 0.0
         return FieldPoint(float(z.real), float(z.imag), rhs, float(values.mean()), sd, config.trials), below_floor
 
-    with _serial_draws(config, n, range(len(points))) as draws:
+    with _serial_draws(config.model, n, config.seed, config.trials, range(len(points))) as draws:
         field_points, below = zip(*[point(p) for p in range(len(points))])
     gaps = [abs(fp.lhs_mean - fp.rhs) for fp in field_points if math.isfinite(fp.lhs_mean)]
     summary = {

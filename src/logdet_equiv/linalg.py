@@ -10,6 +10,8 @@ Determinants are only ever handled in the log domain so that magnitudes like
 
 from __future__ import annotations
 
+import functools
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,3 +185,45 @@ def smallest_singular_value(a) -> float:
     """Smallest singular value; 0.0 for an empty block."""
     s = singular_values(np.asarray(a, dtype=np.complex128))
     return float(s[-1]) if s.size else 0.0
+
+
+@functools.cache
+def _openblas_threads():
+    """``(get, set)``, the thread-count functions ``scipy_openblas_{get,set}_num_threads64_`` of the
+    OpenBLAS that numpy loaded (numpy's own wheels export them), or None where no loaded library
+    has them or nothing says which libraries are loaded."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split(None, 5)[5].strip() for line in fh if "openblas" in line})
+        libs = [ctypes.CDLL(path) for path in paths]
+    except OSError:
+        return None
+    for lib in libs:
+        try:
+            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """The loaded OpenBLAS at one thread inside the block, its old count restored after; a no-op
+    where :func:`_openblas_threads` finds none.  The bits of an LU or an SVD at N >= 200 depend on
+    the thread count, so this makes a run's outputs independent of ``OPENBLAS_NUM_THREADS``."""
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, set_ = threads
+    old = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(old)

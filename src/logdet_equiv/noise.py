@@ -1,4 +1,4 @@
-"""Seedable noise ensembles and empirical probes of their regularity.
+"""Seedable noise ensembles, the draw loop of every run, and empirical probes of their regularity.
 
 Every built-in model is normalized to zero mean and unit variance per entry
 (``E|g_ij|^2 = 1``) so noise amplitudes are comparable across models.  The
@@ -6,20 +6,36 @@ probes measure the three properties the perturbation theory consumes: the
 operator-norm growth exponent ``kappa1``, Markov-type norm tails in ``tau``,
 and anti-concentration of the smallest singular value of ``D + G``.
 
+Draw loop: every trial of a run and every draw of a probe takes its noise from
+:func:`_serial_draws`, in turn.  Where it can, a forked helper process draws
+it one trial ahead into a two-slot shared ring, one helper per loop (a single
+run, sweep step, field run, suite, or probe size), and also takes what a trial
+needs of ``G`` alone where the caller names it: ``||G||`` for ``mc
+--diagnostics``, and the suite's ``||G||`` and log-determinant and singular
+values of ``A + delta G``.  Only where ``os.fork`` is missing or the loaded
+OpenBLAS is not pinned to one thread (an LU at two threads would take the
+helper's core) do the draws run in process, into one array kept while the
+loop lasts.
+
 Reproducibility contract: every trial draws from its own substream derived
 by hashing the root seed with a counter key, so results do not depend on
-execution order or worker count.
+execution order or on whether a helper draws them, nor on
+``OPENBLAS_NUM_THREADS`` where the pin holds.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import warnings
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 
 import numpy as np
 
 from .equivalents import ParameterError, _size_power
-from .linalg import _require_square, as_matrix, operator_norm, smallest_singular_value
+from .linalg import NumericalError, _openblas_threads, _require_square, as_matrix, operator_norm
+from .linalg import smallest_singular_value
 
 __all__ = [
     "NOISE_KINDS",
@@ -90,6 +106,138 @@ def sample(model: str, n: int, seed: int, out: np.ndarray | None = None) -> np.n
     return out
 
 
+# What os.fork warns on Python >= 3.12 when /proc/self/stat counts more than one thread.
+_FORK_WARNING = r"This process \(pid=\d+\) is multi-threaded, use of fork\(\) may lead to deadlocks in the child\."
+
+
+def _fork() -> int:
+    """``os.fork()`` without :data:`_FORK_WARNING`, which counts any thread: an OpenBLAS worker or
+    one of the caller's (the package starts none).  It is safe to drop for :func:`_helper`, which
+    runs numpy's RNG and ufuncs on a generator it makes itself, ``os.read``/``os.write``, and
+    LAPACK.  Only a pinned run forks, so the child inherits OpenBLAS at one thread and runs each
+    LAPACK call on its own thread, starting no worker; OpenBLAS's own fork handler has stopped the
+    parent's idle workers before the fork, and the forking thread is in no BLAS call.  So the child
+    waits on no lock that a thread lost in the fork could hold."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
+        return os.fork()
+
+
+def _measured(measure, g: np.ndarray) -> bytes:
+    """The values ``fn(g)`` of ``measure = (width, fn)`` as ``width`` float64s, all NaN where ``fn``
+    raised or met a floating-point error numpy would warn of, so that the main process takes them
+    itself and meets the error there; no bytes without ``measure``."""
+    if measure is None:
+        return b""
+    width, fn = measure
+    try:
+        with warnings.catch_warnings(), np.errstate(divide="raise", over="raise", invalid="raise"):
+            warnings.simplefilter("error")
+            values = np.asarray(fn(g), dtype=np.float64).reshape(width)
+    except Exception:
+        values = np.full(width, np.nan)
+    return values.tobytes()
+
+
+def _helper(draw, keys, slots, drawn: int, free: int, measure):
+    """The helper process of :func:`_serial_draws`: ``draw`` ``keys`` in turn into alternate ``slots``,
+    each slot once it came back on ``free``, and send each ``seed_used`` with the values ``measure``
+    takes of that ``G`` on ``drawn``.  It stops at an end of file on ``free`` (the main process is
+    gone) and leaves through ``os._exit``, so no handler or buffer of the main process runs twice."""
+    status = 1
+    try:
+        for i, (block, k) in enumerate(keys):
+            if i >= 2 and not os.read(free, 1):
+                break
+            sub, g = draw(block, k, slots[i % 2])
+            message = memoryview(sub.to_bytes(8, "little") + _measured(measure, g))
+            while message:
+                message = message[os.write(drawn, message):]
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _read_exactly(fd: int, size: int) -> bytes:
+    """``size`` bytes from ``fd``, fewer only at an end of file."""
+    data = b""
+    while len(data) < size:
+        chunk = os.read(fd, size - len(data))
+        if not chunk:
+            break
+        data += chunk
+    return data
+
+
+@contextmanager
+def _serial_draws(model: str, n: int, seed: int, trials: int, blocks, measure=None):
+    """The draw loop (see the module docstring): the ``N x N`` noise of ``model`` under root ``seed``
+    for trials ``0..trials-1`` of each of ``blocks`` in turn, as an iterator of ``(seed_used, G,
+    values)`` whose ``G`` lasts until the next is taken.
+
+    ``measure``, when given, is ``(width, fn)``: the helper also takes ``fn(G)``, ``width`` floats
+    that leave ``G`` as drawn, and ``values`` is them as a float64 array.  ``values`` is None
+    without ``measure`` or a helper, and where one of them is NaN (``fn`` failed, see
+    :func:`_measured`): then the trial takes them itself.
+
+    The helper (:func:`_helper`) draws into a two-slot shared ``mmap`` ring.  One pipe carries each
+    ``seed_used`` and its values, the other hands a slot back once its trial is done.  Leaving the
+    block closes both pipes and reaps the helper, also when a trial raised; a helper that died
+    early makes the next draw raise NumericalError."""
+
+    def draw(block: int, k: int, out: np.ndarray | None):
+        """The noise of trial ``k`` of work unit ``block``: ``(seed_used, G)``, drawn into ``out`` if given."""
+        sub = substream_seed(seed, block, k)
+        return sub, sample(model, n, sub, out)
+
+    keys = [(block, k) for block in blocks for k in range(trials)]
+    threads = _openblas_threads()
+    # A size that sample rejects is drawn here too, so that its first draw names it.
+    if n < 1 or not hasattr(os, "fork") or threads is None or threads[0]() != 1:
+
+        def drawn_here():
+            g = None  # the first draw's array is the buffer of every later one
+            for block, k in keys:
+                sub, g = draw(block, k, g)
+                yield sub, g, None
+
+        yield drawn_here()
+        return
+    import mmap
+
+    slots = np.frombuffer(mmap.mmap(-1, 2 * 16 * n * n), dtype=np.complex128).reshape(2, n, n)
+    size = 8 * (1 + (measure[0] if measure else 0))
+    drawn_r, drawn_w = os.pipe()
+    free_r, free_w = os.pipe()
+    pid = _fork()
+    if pid == 0:
+        os.close(drawn_r)
+        os.close(free_w)
+        _helper(draw, keys, slots, drawn_w, free_r, measure)
+    os.close(drawn_w)
+    os.close(free_r)
+
+    def draws():
+        for i, (block, k) in enumerate(keys):
+            message = _read_exactly(drawn_r, size)
+            if len(message) < size:
+                raise NumericalError(f"the noise helper process exited before trial {k} of work unit {block}")
+            values = np.frombuffer(message, dtype=np.float64, offset=8) if measure else None
+            if values is not None and np.isnan(values).any():
+                values = None
+            yield int.from_bytes(message[:8], "little"), slots[i % 2], values
+            if i + 2 < len(keys):
+                with suppress(BrokenPipeError):  # a dead helper is reported by the next read
+                    os.write(free_w, b"\0")
+
+    try:
+        yield draws()
+    finally:
+        os.close(drawn_r)
+        os.close(free_w)
+        os.waitpid(pid, 0)
+
+
 @dataclass(frozen=True)
 class ProbeResult:
     """Per-trial statistics plus a summary for one probe at one size."""
@@ -145,8 +293,9 @@ def fit_growth(n_list, mean_norms) -> tuple[float, float, tuple]:
 
 
 def _probe_values(model: str, n: int, trials: int, seed: int, block: int, measure) -> np.ndarray:
-    """``measure(G)`` for each draw ``G = sample(model, n, substream_seed(seed, block, k))``, ``k < trials``."""
-    return np.array([measure(sample(model, n, substream_seed(seed, block, k))) for k in range(trials)], dtype=float)
+    """``measure(G)``, taken in this process, for the draw ``G`` of each trial ``k < trials`` of ``block``."""
+    with _serial_draws(model, n, seed, trials, [block]) as draws:
+        return np.array([measure(g) for _, g, _ in draws], dtype=float)
 
 
 def _result(model: str, n: int, stat_name: str, values: np.ndarray, **extra) -> ProbeResult:
@@ -175,6 +324,17 @@ def norm_growth_probe(model: str, n_list, trials: int, seed: int) -> NormGrowthF
     return NormGrowthFit(per_n=tuple(per_n), kappa1_hat=slope, intercept=intercept, residuals=residuals)
 
 
+def _tail_taus(model: str, trials: int, tau_list) -> list:
+    """The taus of :func:`markov_tail_check`, once its arguments are checked."""
+    _check_kind(model)
+    if trials < 100:
+        raise ValueError("tail estimates need at least 100 trials")
+    taus = [float(t) for t in tau_list]
+    if any(t <= 0 for t in taus):
+        raise ValueError("tau values must be positive")
+    return taus
+
+
 def markov_tail_check(model: str, n: int, trials: int, tau_list, seed: int = 0) -> ProbeResult:
     """Empirical norm tails against the Markov bound ``P(||G|| > c N^k1 tau) <= 1/tau``.
 
@@ -184,12 +344,7 @@ def markov_tail_check(model: str, n: int, trials: int, tau_list, seed: int = 0) 
     distribution, so each tau gets a pass flag at three binomial standard
     errors.
     """
-    _check_kind(model)
-    if trials < 100:
-        raise ValueError("tail estimates need at least 100 trials")
-    taus = [float(t) for t in tau_list]
-    if any(t <= 0 for t in taus):
-        raise ValueError("tau values must be positive")
+    taus = _tail_taus(model, trials, tau_list)
     norms = _probe_values(model, n, trials, seed, 0, operator_norm)
     mean_norm = float(norms.mean())
     c_hat = mean_norm / float(n) ** MARKOV_KAPPA1

@@ -21,6 +21,7 @@ from logdet_equiv import (
     cli,
     config_from_dict,
     ensembles,
+    noise,
     operator_norm,
     parse_matrix_arg,
     read_config,
@@ -231,6 +232,8 @@ def test_config_errors_exit_three(argv, capsys):
          "config.z_grid: missing keys ['re_max', 'im_min', 'im_max', 'steps']"),
         (["sweep", "--config", "configs/jordan_sweep.json", "--workers", "0"], "workers must be >= 1, got 0"),
         (["field", "--config", "configs/field_jordan.json", "--workers", "0"], "workers must be >= 1, got 0"),
+        (["sweep", "--matrix", "jordan", "--n", "8", "--n-list", "8,abc"], "--n-list: expected integers, got abc"),
+        (["probe-noise", "--n", "12", "--trials", "100", "--n-list", "50,1.5"], "--n-list: expected integers, got 1.5"),
     ],
 )
 def test_given_flag_is_checked_like_a_config_value(capsys, argv, named):
@@ -707,6 +710,25 @@ def test_probe_noise_rejects_non_finite_values_before_sampling(monkeypatch, caps
     err = capsys.readouterr().err
     assert f"configuration error: {named}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--tau-list", "0,2"], "tau values must be positive"),
+        (["--trials", "60"], "tail estimates need at least 100 trials"),
+        (["--n-list", "8"], "need at least two matrix sizes to fit a growth exponent"),
+        (["--n-list", "8,4"], "matrix sizes must be strictly ascending"),
+        (["--beta-list", "-1000"], "beta = -1000.0: N^(-beta) overflows a float at N = 12"),
+    ],
+)
+def test_probe_noise_checks_every_probe_before_the_first_draw(monkeypatch, capsys, argv, message):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew noise")
+
+    monkeypatch.setattr(noise, "sample", no_draw)  # a helper process that met it would fail the run
+    assert cli.main([*PROBE_BASE, *argv]) == 3
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -219,7 +219,7 @@ def test_trial_reuses_one_buffer_per_thread_bitwise(monkeypatch):
         a = realize(MatrixSpec(kind="jordan", n=n, shift=0.3 + 0.2j))
         for diagnostics in (False, True):
             ids = set()
-            with experiments._serial_draws(config, n, [2]) as draws:
+            with noise._serial_draws(config.model, n, config.seed, config.trials, [2]) as draws:
                 for k, draw in enumerate(draws):
                     ids.add(id(draw[1]))
                     lhs, norm_g, s_min = _fresh_trial(config, a, delta, 2, k)

@@ -206,6 +206,14 @@ def test_markov_tail_check_validation():
         markov_tail_check("complex_ginibre", 30, trials=100, tau_list=[0.0])
 
 
+def test_a_probe_names_a_size_that_cannot_be_drawn():
+    # The draw loop leaves such a size to sample, with or without a helper, so that its first draw names it.
+    with pytest.raises(ValueError, match=r"^matrix size must be >= 1, got 0$"):
+        norm_growth_probe("complex_ginibre", [0, 4], trials=2, seed=0)
+    with pytest.raises(ValueError, match=r"^matrix size must be >= 1, got -3$"):
+        markov_tail_check("complex_ginibre", -3, trials=100, tau_list=[2.0])
+
+
 # ---------------------------------------------------------------------------
 # anti-concentration
 

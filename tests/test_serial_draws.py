@@ -23,6 +23,7 @@ from logdet_equiv import (
     ensembles,
     experiments,
     grushin,
+    linalg,
     log_potential_field,
     noise,
     run_grushin_suite,
@@ -38,7 +39,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = str(Path(experiments.__file__).resolve().parents[1])
 
 needs_pin = pytest.mark.skipif(
-    experiments._openblas_threads() is None or not hasattr(os, "fork"),
+    linalg._openblas_threads() is None or not hasattr(os, "fork"),
     reason="no loaded OpenBLAS exports scipy_openblas_set_num_threads64_ (or no os.fork): nothing is pinned "
     "and no helper runs",
 )
@@ -85,7 +86,7 @@ def run_cli(argv, threads):
 
 def counted_forks(monkeypatch) -> list:
     """The pids of the helpers forked from now on, as the main process sees them."""
-    pids, fork = [], experiments._fork
+    pids, fork = [], noise._fork
 
     def counted():
         pid = fork()
@@ -93,7 +94,7 @@ def counted_forks(monkeypatch) -> list:
             pids.append(pid)
         return pid
 
-    monkeypatch.setattr(experiments, "_fork", counted)
+    monkeypatch.setattr(noise, "_fork", counted)
     return pids
 
 
@@ -107,6 +108,9 @@ def counted_forks(monkeypatch) -> list:
          "field.csv"),
         (["grushin-verify", "--config", "configs/grushin_diag.json"], "checks.json"),
         (["equiv", "--matrix", "file:{tmp}/dense400.csv", "--n", "400"], None),
+        (["mc", "--matrix", "jordan", "--n", "200", "--alpha", "0.5", "--gamma", "4", "--delta", "1e-9",
+          "--trials", "6", "--seed", "3", "--probe-eps"], "records.csv"),
+        (["probe-noise", "--n", "200", "--trials", "100", "--n-list", "100,200"], "probes.csv"),
     ],
 )
 def test_outputs_depend_on_neither_the_workers_nor_the_blas_threads(tmp_path, argv, artifact):
@@ -120,11 +124,13 @@ def test_outputs_depend_on_neither_the_workers_nor_the_blas_threads(tmp_path, ar
         if artifact is None:  # equiv samples nothing and takes no --workers
             outputs.add(run_cli(argv, threads))
             continue
-        for workers in ("1", "2"):
-            prefix = tmp_path / f"threads{threads}-workers{workers}"
-            stdout = run_cli([*argv, "--workers", workers, "--out", str(prefix)], threads)
+        probes = argv[0] == "probe-noise"  # which takes no --workers, and whose summary holds no config
+        for workers in [[]] if probes else [["--workers", "1"], ["--workers", "2"]]:
+            prefix = tmp_path / f"threads{threads}-workers{''.join(workers)}"
+            stdout = run_cli([*argv, *workers, "--out", str(prefix)], threads)
             summary = json.loads(Path(f"{prefix}_summary.json").read_text(encoding="utf-8"))
-            del summary["config"]["output"]
+            if not probes:
+                del summary["config"]["output"]
             outputs.add((stdout.replace(str(prefix), "PREFIX"), Path(f"{prefix}_{artifact}").read_bytes(),
                          json.dumps(summary)))
     assert len(outputs) == 1
@@ -132,7 +138,7 @@ def test_outputs_depend_on_neither_the_workers_nor_the_blas_threads(tmp_path, ar
 
 @needs_pin
 def test_every_run_mode_pins_one_blas_thread_and_restores_the_count(monkeypatch, tmp_path):
-    (get, set_), counts = experiments._openblas_threads(), []
+    (get, set_), counts = linalg._openblas_threads(), []
 
     def counted(module, name):
         original = getattr(module, name)
@@ -176,11 +182,27 @@ def test_every_run_mode_pins_one_blas_thread_and_restores_the_count(monkeypatch,
 
 
 @needs_pin
-def test_a_serial_run_draws_in_one_helper_per_run_step_or_field(monkeypatch):
+def test_a_loop_at_more_than_one_blas_thread_draws_in_process(monkeypatch):
+    # A probe called outside a pinned run would take the helper's core for its second BLAS thread.
+    pids, (get, set_), results = counted_forks(monkeypatch), linalg._openblas_threads(), []
+    old = get()
+    try:
+        for threads in (2, 1):
+            set_(threads)
+            before = len(pids)
+            results.append(noise.norm_growth_probe("complex_ginibre", [4, 8], 3, 0))
+            assert len(pids) - before == (2 if get() == 1 else 0)
+    finally:
+        set_(old)
+    assert results[0] == results[1]
+    assert_no_child_left()
+
+
+@needs_pin
+def test_a_serial_run_draws_in_one_helper_per_run_step_or_field(monkeypatch, tmp_path):
     pids = counted_forks(monkeypatch)
     drawn_here, normed_here = [], []  # the helper appends to its own copies of the lists
-    sample, operator_norm, invert_perturbed = (experiments.sample, experiments.operator_norm,
-                                               experiments.invert_perturbed)
+    sample, operator_norm, invert_perturbed = noise.sample, experiments.operator_norm, experiments.invert_perturbed
 
     def recorded(*args, **kwargs):
         drawn_here.append(os.getpid())
@@ -195,7 +217,7 @@ def test_a_serial_run_draws_in_one_helper_per_run_step_or_field(monkeypatch):
             normed_here.append(os.getpid())
         return invert_perturbed(*args, norm_g=norm_g, **kwargs)
 
-    monkeypatch.setattr(experiments, "sample", recorded)
+    monkeypatch.setattr(noise, "sample", recorded)
     monkeypatch.setattr(experiments, "operator_norm", recorded_norm)
     monkeypatch.setattr(experiments, "invert_perturbed", inverted)
     runs = [
@@ -206,14 +228,23 @@ def test_a_serial_run_draws_in_one_helper_per_run_step_or_field(monkeypatch):
         lambda: run_grushin_suite(GRUSHIN),
     ]
     runs.append(lambda: run_theorem2(replace(SINGLE, trials=1)))  # one draw opens a helper like any run
+
+    def probe_noise():
+        prefix = tmp_path / "probe"
+        assert cli.main(["probe-noise", "--n", "12", "--trials", "100", "--n-list", "4,8", "--out", str(prefix)]) == 0
+        return [Path(f"{prefix}_{suffix}").read_bytes() for suffix in ("probes.csv", "summary.json")]
+
+    # The anti-concentration probe of --probe-eps opens one more helper; probe-noise one per growth size, one for
+    # the tail probe and one for the anti-concentration probe.
+    runs.extend([lambda: run_theorem2(replace(SINGLE, probe_eps=True)), probe_noise])
     helped = [run() for run in runs]
-    assert len(pids) == 1 + len(SWEEP.n_list) + 1 + 1 + 1 + 1
+    assert len(pids) == 1 + len(SWEEP.n_list) + 1 + 1 + 1 + 1 + 2 + 4
     assert drawn_here == [] and normed_here == []
     assert_no_child_left()
     # The reference: every draw taken in this process, as where os.fork is missing.
     monkeypatch.delattr(os, "fork")
     assert [run() for run in runs] == helped
-    assert len(pids) == 8 and drawn_here
+    assert len(pids) == 14 and drawn_here
 
 
 @needs_pin
@@ -251,7 +282,7 @@ def test_a_helper_that_dies_before_its_first_draw_fails_the_run(monkeypatch, cap
         raise RuntimeError("no noise")
 
     # The main process of a serial run never calls sample, so only the helper meets this.
-    monkeypatch.setattr(experiments, "sample", no_noise)
+    monkeypatch.setattr(noise, "sample", no_noise)
     with pytest.raises(NumericalError, match=r"^the noise helper process exited before trial 0 of work unit 0$"):
         run_theorem2(SINGLE)
     assert_no_child_left()
@@ -265,14 +296,14 @@ def test_a_helper_that_dies_before_its_first_draw_fails_the_run(monkeypatch, cap
 def test_fork_drops_only_the_multithreaded_fork_warning():
     # Python >= 3.12 emits this from os.fork while /proc/self/stat counts a second thread; the text is CPython's.
     text = "This process (pid=4321) is multi-threaded, use of fork() may lead to deadlocks in the child."
-    assert re.fullmatch(experiments._FORK_WARNING, text)
+    assert re.fullmatch(noise._FORK_WARNING, text)
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
     thread.start()
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            pid = experiments._fork()
+            pid = noise._fork()
             if pid == 0:
                 os._exit(0)
             os.waitpid(pid, 0)
