@@ -17,7 +17,6 @@ import numpy as np
 
 from logdet_equiv import MatrixSpec, cli, realize
 from logdet_equiv.experiments import _trial
-from logdet_equiv.linalg import _one_blas_thread
 from logdet_equiv.noise import _serial_draws
 
 
@@ -25,7 +24,7 @@ def x_samples(n: int, delta: float, trials: int, seed: int) -> np.ndarray:
     """X for ``trials`` complex Ginibre draws on the N x N Jordan block; trial k
     is the harness's trial k of work unit N (substream ``(seed, N, k)``)."""
     a = realize(MatrixSpec(kind="jordan", n=n))
-    with _one_blas_thread(), _serial_draws("complex_ginibre", n, seed, trials, [n]) as draws:
+    with _serial_draws("complex_ginibre", n, seed, trials, [n]) as draws:
         return np.array([n * _trial(a, delta, draws)[1] - math.log(delta) for _ in range(trials)])
 
 

@@ -31,7 +31,7 @@ from .experiments import (
     run_theorem2,
     write_results,
 )
-from .linalg import NumericalError, _one_blas_thread
+from .linalg import NumericalError
 from .noise import NOISE_KINDS, _frequencies, _tail_taus, anti_concentration_probe, markov_tail_check
 from .noise import norm_growth_probe, substream_seed
 
@@ -192,11 +192,9 @@ def _write(records, prefix, summary) -> None:
 def _cmd_equiv(args) -> int:
     config = _resolve_config(args, "single")
     spec = config.matrix
-    # A dense spectrum's last bits depend on the BLAS thread count; pinned, they are those of mc.
-    with _one_blas_thread():
-        singvals = spectrum_of(spec)
-        params, rhs, alpha_below = _cutoff(spec, singvals, config.params)
-        cutoff_index, sums, n_star_below = _n_star_step(spec, singvals, params.gamma, params.eta)
+    singvals = spectrum_of(spec)
+    params, rhs, alpha_below = _cutoff(spec, singvals, config.params)
+    cutoff_index, sums, n_star_below = _n_star_step(spec, singvals, params.gamma, params.eta)
     shown = {
         "matrix": f"{spec.kind} N={spec.n}" + (f" shift={spec.shift}" if spec.shift is not None else ""),
         "alpha": params.alpha,
@@ -271,10 +269,9 @@ def _cmd_probe_noise(args) -> int:
     # The growth probe checks its arguments before it draws; the other two probes' checks run first here.
     _tail_taus(model, trials, taus)
     _frequencies(n, betas)
-    with _one_blas_thread():
-        growth = norm_growth_probe(model, sizes, min(trials, 50), substream_seed(seed, 0))
-        markov = markov_tail_check(model, n, trials, taus, seed=substream_seed(seed, 1))
-        anti = anti_concentration_probe(d, model, trials, betas, substream_seed(seed, 2))
+    growth = norm_growth_probe(model, sizes, min(trials, 50), substream_seed(seed, 0))
+    markov = markov_tail_check(model, n, trials, taus, seed=substream_seed(seed, 1))
+    anti = anti_concentration_probe(d, model, trials, betas, substream_seed(seed, 2))
 
     print(f"model = {model}")
     print(f"kappa1_hat = {_fmt(growth.kappa1_hat)} (sizes {list(sizes)}, intercept {_fmt(growth.intercept)})")

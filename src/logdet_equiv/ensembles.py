@@ -14,6 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import linalg
 from .equivalents import ParameterError
 from .linalg import _require_square, as_matrix, singular_values
 
@@ -170,15 +171,17 @@ def spectrum_of(spec: MatrixSpec, a: np.ndarray | None = None) -> np.ndarray:
       values are accurate only to about ``svd_floor(spec, s)`` in absolute
       terms.
 
-    The result is a fresh array, the caller's to modify.
+    The result is a fresh array, the caller's to modify.  Both SVDs run
+    under the BLAS pin of :mod:`.linalg`.
     """
     known = known_singvals(spec)
     if known is not None:
         return np.asarray(known, dtype=float)
     structured = _constant_bidiagonal(spec)
-    if structured is not None:
-        return _bidiagonal_singvals(int(spec.n), *structured).copy()
-    return singular_values(as_matrix(realize(spec) if a is None else a))
+    with linalg._one_blas_thread():
+        if structured is not None:
+            return _bidiagonal_singvals(int(spec.n), *structured).copy()
+        return singular_values(as_matrix(realize(spec) if a is None else a))
 
 
 def svd_floor(spec: MatrixSpec, singvals) -> float:

@@ -195,7 +195,7 @@ class EquivalenceParams:
     C: float = 1.0
     headroom: float = 0.1
 
-    def violations(self, n: int, singvals=None) -> list[str]:
+    def violations(self, n: int) -> list[str]:
         """All violated constraints at size ``n`` (empty list = valid).
 
         Raises ParameterError when a power of ``N`` overflows a float.
@@ -212,10 +212,6 @@ class EquivalenceParams:
         budget = self.nu_n * n / math.log(n) if n >= 2 else float(n)
         if self.m > budget + 1e-9:
             out.append(f"deflation count m = {self.m} exceeds nu_n*N/log N = {budget:.3g}")
-        if singvals is not None:
-            observed = count_below(singvals, self.alpha)
-            if observed != self.m:
-                out.append(f"m = {self.m} but {observed} singular values lie at or below alpha")
         if self.tau <= 0:
             out.append(f"tau must be positive, got {self.tau}")
         if not 0.0 < self.headroom < 1.0:

@@ -14,14 +14,15 @@ field
     The log-potential map ``z -> (1/N) log |det (z I - A + delta G)|`` over a
     rectangular grid (:func:`log_potential_field`).
 
-Reproducibility: every run is pinned to one BLAS thread
-(``linalg._one_blas_thread``) and runs its trials in turn, trial ``k`` of work
-unit ``b`` (sweep step or grid point; 0 in single mode) drawing from
-``substream_seed(seed, b, k)`` through ``noise._serial_draws``.  So output is
-byte-identical whether or not a helper draws it, and for any
-``OPENBLAS_NUM_THREADS`` where the pin holds (at a fixed BLAS thread count
-where it does not), and a one-point field run coincides with a single-mode
-run on the shifted matrix, stream for stream.
+Reproducibility: every run takes its spectra from ``ensembles.spectrum_of``
+and runs its trials in turn in ``noise._serial_draws``; both hold the BLAS
+pin of :mod:`.linalg`, which sets the loaded OpenBLAS to one thread.  Trial
+``k`` of work unit ``b`` (sweep step or grid point; 0 in single mode) draws
+from ``substream_seed(seed, b, k)``.  So output is byte-identical whether or
+not a helper draws it, and for any ``OPENBLAS_NUM_THREADS`` where the pin
+holds (at a fixed BLAS thread count where it does not), and a one-point
+field run coincides with a single-mode run on the shifted matrix, stream for
+stream.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ from .grushin import (
     schur_logdet,
     assemble,
 )
-from .linalg import NumericalError, _one_blas_thread, log_abs_det, operator_norm, singular_values
+from .linalg import NumericalError, log_abs_det, operator_norm, singular_values
 from .linalg import smallest_singular_value
 from .noise import NormGrowthFit, ProbeResult, _check_kind, _rescaled_frequencies, _serial_draws, substream_seed
 
@@ -337,7 +338,6 @@ def _admissible_window(params: EquivalenceParams, n: int) -> tuple[float, float]
     return lo, hi
 
 
-@_one_blas_thread()
 def run_theorem2(config: ExperimentConfig, diagnostics: bool = False):
     """Single-matrix Monte Carlo comparison against the cutoff sum.
 
@@ -397,7 +397,6 @@ def run_theorem2(config: ExperimentConfig, diagnostics: bool = False):
     return records, summary
 
 
-@_one_blas_thread()
 def run_theorem1(config: ExperimentConfig, diagnostics: bool = False):
     """Size sweep with ``delta = N**-gamma`` and the ``N*`` cutoff, at the
     config's ``gamma``, ``eta`` and ``convention``.
@@ -464,7 +463,6 @@ def _two_sided_residuals(sys, blocks) -> tuple[float, float]:
     return np.abs(assembled @ inverse - eye).max(), np.abs(inverse @ assembled - eye).max()
 
 
-@_one_blas_thread()
 def run_grushin_suite(config: ExperimentConfig):
     """Run every block-algebra identity and bound on the configured matrix.
 
@@ -562,7 +560,6 @@ def run_grushin_suite(config: ExperimentConfig):
     return checks, summary
 
 
-@_one_blas_thread()
 def log_potential_field(config: ExperimentConfig):
     """Evaluate the log-potential field over the configured z-grid.
 

@@ -213,17 +213,17 @@ def _openblas_threads():
 
 @contextmanager
 def _one_blas_thread():
-    """The loaded OpenBLAS at one thread inside the block, its old count restored after; a no-op
-    where :func:`_openblas_threads` finds none.  The bits of an LU or an SVD at N >= 200 depend on
-    the thread count, so this makes a run's outputs independent of ``OPENBLAS_NUM_THREADS``."""
+    """The loaded OpenBLAS at one thread inside the block, its old count restored after; a no-op where
+    :func:`_openblas_threads` finds none.  Yields whether the block runs at one thread.  The bits of an
+    LU or an SVD at N >= 200 depend on the count, so the draw loop and the spectra hold this pin."""
     threads = _openblas_threads()
-    if threads is None:
-        yield
+    old = threads[0]() if threads else None
+    # Set nothing at one thread: a set, even to 1, restarts the workers OpenBLAS stopped at a fork, and they spin.
+    if old in (None, 1):
+        yield old == 1
         return
-    get, set_ = threads
-    old = get()
-    set_(1)
+    threads[1](1)
     try:
-        yield
+        yield True
     finally:
-        set_(old)
+        threads[1](old)

@@ -12,10 +12,11 @@ it one trial ahead into a two-slot shared ring, one helper per loop (a single
 run, sweep step, field run, suite, or probe size), and also takes what a trial
 needs of ``G`` alone where the caller names it: ``||G||`` for ``mc
 --diagnostics``, and the suite's ``||G||`` and log-determinant and singular
-values of ``A + delta G``.  Only where ``os.fork`` is missing or the loaded
-OpenBLAS is not pinned to one thread (an LU at two threads would take the
-helper's core) do the draws run in process, into one array kept while the
-loop lasts.
+values of ``A + delta G``.  The loop holds the BLAS pin of :mod:`.linalg`
+from before the fork until the helper is reaped, so every LU and SVD of a
+trial, a probe or a suite check runs at one thread, as does the helper.  Only
+where ``os.fork`` is missing or no OpenBLAS can be pinned do the draws run in
+process, into one array kept while the loop lasts.
 
 Reproducibility contract: every trial draws from its own substream derived
 by hashing the root seed with a counter key, so results do not depend on
@@ -33,8 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .equivalents import ParameterError, _size_power
-from .linalg import NumericalError, _openblas_threads, _require_square, as_matrix, operator_norm
+from .linalg import NumericalError, _require_square, as_matrix, operator_norm
 from .linalg import smallest_singular_value
 
 __all__ = [
@@ -114,10 +116,10 @@ def _fork() -> int:
     """``os.fork()`` without :data:`_FORK_WARNING`, which counts any thread: an OpenBLAS worker or
     one of the caller's (the package starts none).  It is safe to drop for :func:`_helper`, which
     runs numpy's RNG and ufuncs on a generator it makes itself, ``os.read``/``os.write``, and
-    LAPACK.  Only a pinned run forks, so the child inherits OpenBLAS at one thread and runs each
-    LAPACK call on its own thread, starting no worker; OpenBLAS's own fork handler has stopped the
-    parent's idle workers before the fork, and the forking thread is in no BLAS call.  So the child
-    waits on no lock that a thread lost in the fork could hold."""
+    LAPACK.  The loop forks only inside its own pin, so the child inherits OpenBLAS at one thread
+    and runs each LAPACK call on its own thread, starting no worker; OpenBLAS's own fork handler
+    has stopped the parent's idle workers before the fork, and the forking thread is in no BLAS
+    call.  So the child waits on no lock that a thread lost in the fork could hold."""
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
         return os.fork()
@@ -191,51 +193,51 @@ def _serial_draws(model: str, n: int, seed: int, trials: int, blocks, measure=No
         return sub, sample(model, n, sub, out)
 
     keys = [(block, k) for block in blocks for k in range(trials)]
-    threads = _openblas_threads()
-    # A size that sample rejects is drawn here too, so that its first draw names it.
-    if n < 1 or not hasattr(os, "fork") or threads is None or threads[0]() != 1:
+    with linalg._one_blas_thread() as pinned:
+        # A size that sample rejects is drawn here too, so that its first draw names it.
+        if n < 1 or not hasattr(os, "fork") or not pinned:
 
-        def drawn_here():
-            g = None  # the first draw's array is the buffer of every later one
-            for block, k in keys:
-                sub, g = draw(block, k, g)
-                yield sub, g, None
+            def drawn_here():
+                g = None  # the first draw's array is the buffer of every later one
+                for block, k in keys:
+                    sub, g = draw(block, k, g)
+                    yield sub, g, None
 
-        yield drawn_here()
-        return
-    import mmap
+            yield drawn_here()
+            return
+        import mmap
 
-    slots = np.frombuffer(mmap.mmap(-1, 2 * 16 * n * n), dtype=np.complex128).reshape(2, n, n)
-    size = 8 * (1 + (measure[0] if measure else 0))
-    drawn_r, drawn_w = os.pipe()
-    free_r, free_w = os.pipe()
-    pid = _fork()
-    if pid == 0:
-        os.close(drawn_r)
-        os.close(free_w)
-        _helper(draw, keys, slots, drawn_w, free_r, measure)
-    os.close(drawn_w)
-    os.close(free_r)
+        slots = np.frombuffer(mmap.mmap(-1, 2 * 16 * n * n), dtype=np.complex128).reshape(2, n, n)
+        size = 8 * (1 + (measure[0] if measure else 0))
+        drawn_r, drawn_w = os.pipe()
+        free_r, free_w = os.pipe()
+        pid = _fork()
+        if pid == 0:
+            os.close(drawn_r)
+            os.close(free_w)
+            _helper(draw, keys, slots, drawn_w, free_r, measure)
+        os.close(drawn_w)
+        os.close(free_r)
 
-    def draws():
-        for i, (block, k) in enumerate(keys):
-            message = _read_exactly(drawn_r, size)
-            if len(message) < size:
-                raise NumericalError(f"the noise helper process exited before trial {k} of work unit {block}")
-            values = np.frombuffer(message, dtype=np.float64, offset=8) if measure else None
-            if values is not None and np.isnan(values).any():
-                values = None
-            yield int.from_bytes(message[:8], "little"), slots[i % 2], values
-            if i + 2 < len(keys):
-                with suppress(BrokenPipeError):  # a dead helper is reported by the next read
-                    os.write(free_w, b"\0")
+        def draws():
+            for i, (block, k) in enumerate(keys):
+                message = _read_exactly(drawn_r, size)
+                if len(message) < size:
+                    raise NumericalError(f"the noise helper process exited before trial {k} of work unit {block}")
+                values = np.frombuffer(message, dtype=np.float64, offset=8) if measure else None
+                if values is not None and np.isnan(values).any():
+                    values = None
+                yield int.from_bytes(message[:8], "little"), slots[i % 2], values
+                if i + 2 < len(keys):
+                    with suppress(BrokenPipeError):  # a dead helper is reported by the next read
+                        os.write(free_w, b"\0")
 
-    try:
-        yield draws()
-    finally:
-        os.close(drawn_r)
-        os.close(free_w)
-        os.waitpid(pid, 0)
+        try:
+            yield draws()
+        finally:
+            os.close(drawn_r)
+            os.close(free_w)
+            os.waitpid(pid, 0)
 
 
 @dataclass(frozen=True)
@@ -390,8 +392,8 @@ def anti_concentration_probe(
     For each ``beta`` reports the empirical frequency of
     ``s_min(D + G) <= N**-beta``.  When both ``delta`` and ``gamma`` are
     given (with ``delta >= N**-gamma``), also reports the rescaled variant:
-    the frequency of ``s_min(D + delta G) <= N**-(gamma + beta)``, with each ``G``
-    redrawn from the same seeds as the plain variant's.
+    the frequency of ``s_min(D + delta G) <= N**-(gamma + beta)``, on the same
+    draws ``G`` as the plain variant's.
 
     ``trials = 0`` is legal and yields undefined (None) frequencies.
     """
@@ -399,18 +401,21 @@ def anti_concentration_probe(
     _check_kind(model)
     n = d.shape[0]
     betas = [float(b) for b in beta_list]
-    plain = _frequencies(n, betas)
-    rescaled = delta is not None or gamma is not None
-    if rescaled:
+    plain, rescale = _frequencies(n, betas), None
+    if delta is not None or gamma is not None:
         if delta is None or gamma is None:
             raise ValueError("the rescaled variant needs both delta and gamma")
         floor = _size_power(n, "gamma", gamma, -1.0)
         if delta < floor:
             raise ValueError(f"rescaled variant assumes delta >= N^-gamma = {floor:.3g}")
-        _frequencies(n, betas, gamma)  # names an overflowing N^-(gamma + beta) before any draw
+        rescale = _frequencies(n, betas, gamma)  # names an overflowing N^-(gamma + beta) before any draw
     if trials == 0:
         summary = {"mean": None, "quantiles": None, "frequencies": None, "rescaled_frequencies": None}
         return ProbeResult(model, n, 0, "smallest_singular_value", (), summary)
-    smin = _probe_values(model, n, trials, seed, 0, lambda g: smallest_singular_value(d + g))
-    scaled = _rescaled_frequencies(d, model, trials, betas, seed, delta, gamma) if rescaled else None
+    if rescale is None:
+        smin, scaled = _probe_values(model, n, trials, seed, 0, lambda g: smallest_singular_value(d + g)), None
+    else:  # each G gives both values; the copy makes each column a contiguous array
+        smin, smin_scaled = _probe_values(model, n, trials, seed, 0, lambda g: (
+            smallest_singular_value(d + g), smallest_singular_value(d + delta * g))).T.copy()
+        scaled = rescale(smin_scaled)
     return _result(model, n, "smallest_singular_value", smin, frequencies=plain(smin), rescaled_frequencies=scaled)

@@ -247,12 +247,6 @@ def test_violations_name_the_sign_constraints():
     ]
 
 
-def test_violations_check_spectrum_consistency():
-    s = np.array([1.0] * 99 + [0.0])
-    assert valid_params().violations(100, s) == []
-    assert any("singular values lie at or below" in v for v in valid_params(m=2).violations(100, s))
-
-
 def test_zero_delta_is_outside_theorem_not_invalid():
     p = valid_params(delta=0.0)
     assert p.violations(100) == []

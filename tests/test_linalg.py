@@ -12,6 +12,7 @@ from logdet_equiv import (
     NumericalError,
     anti_concentration_probe,
     as_matrix,
+    linalg,
     log_abs_det,
     operator_norm,
     singular_values,
@@ -252,3 +253,20 @@ def test_every_square_check_raises_one_dimension_error(tmp_path):
             call()
         assert str(info.value) == "expected a square matrix, got shape (2, 3)"
     assert not (tmp_path / "wide.csv").exists()
+
+
+def test_the_blas_pin_sets_no_count_at_one_thread(monkeypatch):
+    # A set, even to 1, restarts the OpenBLAS workers stopped at a fork, so a pin inside a pin sets nothing.
+    count, sets = [2], []
+
+    def set_(k):
+        sets.append(k)
+        count[0] = k
+
+    monkeypatch.setattr(linalg, "_openblas_threads", lambda: (lambda: count[0], set_))
+    with linalg._one_blas_thread() as outer, linalg._one_blas_thread() as inner:
+        assert count == [1]
+    assert (outer, inner, sets, count) == (True, True, [1, 2], [2])
+    monkeypatch.setattr(linalg, "_openblas_threads", lambda: None)
+    with linalg._one_blas_thread() as pinned:
+        assert pinned is False

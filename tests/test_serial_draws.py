@@ -11,6 +11,7 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from logdet_equiv import (
@@ -166,11 +167,19 @@ def test_every_run_mode_pins_one_blas_thread_and_restores_the_count(monkeypatch,
             run_theorem1(SWEEP)
             log_potential_field(FIELD)
             run_grushin_suite(GRUSHIN)
+            # The probes called from Python, outside any run.
+            noise.norm_growth_probe("complex_ginibre", [4, 8], 3, 0)
+            noise.markov_tail_check("complex_ginibre", 4, 100, [2.0])
+            noise.anti_concentration_probe(np.zeros((6, 6)), "complex_ginibre", 5, [1.0], 0, delta=1.0, gamma=1.0)
         assert cli.main(["probe-noise", "--n", "12", "--trials", "100", "--n-list", "4,8",
                          "--out", str(tmp_path / "p")]) == 0
         spectra = len(counts)
         assert cli.main(["equiv", "--matrix", "bidiag:0.3711,0.9137", "--n", "12"]) == 0  # a spectrum not cached
         assert len(counts) == spectra + 1
+        # A dense spectrum taken outside any run, as scripts/delta_budget_sweep.py takes it.
+        write_matrix_csv(sample("complex_ginibre", 6, 1), tmp_path / "dense6.csv")
+        ensembles.spectrum_of(MatrixSpec(kind="custom", n=6, path=str(tmp_path / "dense6.csv")))
+        assert len(counts) == spectra + 2
         with pytest.raises(NumericalError, match="overflows"):
             log_potential_field(replace(FIELD, params=ParamConfig(alpha="auto", delta=1e308)))
         with pytest.raises(NumericalError, match="overflows"):
@@ -182,20 +191,44 @@ def test_every_run_mode_pins_one_blas_thread_and_restores_the_count(monkeypatch,
 
 
 @needs_pin
-def test_a_loop_at_more_than_one_blas_thread_draws_in_process(monkeypatch):
-    # A probe called outside a pinned run would take the helper's core for its second BLAS thread.
+def test_a_probe_called_from_python_is_pinned_and_forks_at_any_blas_thread_count(monkeypatch):
+    # At N = 200 an SVD at two BLAS threads differs from one thread in its last bits.
     pids, (get, set_), results = counted_forks(monkeypatch), linalg._openblas_threads(), []
     old = get()
     try:
         for threads in (2, 1):
             set_(threads)
             before = len(pids)
-            results.append(noise.norm_growth_probe("complex_ginibre", [4, 8], 3, 0))
-            assert len(pids) - before == (2 if get() == 1 else 0)
+            results.append(noise.norm_growth_probe("complex_ginibre", [100, 200], 3, 0))
+            assert len(pids) - before == 2
+            assert get() == threads
     finally:
         set_(old)
     assert results[0] == results[1]
     assert_no_child_left()
+
+
+@needs_pin
+def test_the_rescaled_anti_concentration_probe_draws_each_g_once(monkeypatch):
+    d, args = np.zeros((20, 20)), ("complex_ginibre", 10, [1.0], 0)
+    # The reference: the plain probe, and the rescaled frequencies on draws of their own.
+    rescaled = noise._rescaled_frequencies(d, "complex_ginibre", 10, [1.0], 0, 1.0, 1.0)
+    expected = {**noise.anti_concentration_probe(d, *args).summary, "rescaled_frequencies": rescaled}
+    pids = counted_forks(monkeypatch)
+    with linalg._one_blas_thread():
+        assert noise.anti_concentration_probe(d, *args, delta=1.0, gamma=1.0).summary == expected
+    assert len(pids) == 1
+    assert_no_child_left()
+    drawn, sample = [], noise.sample
+
+    def counted(*a, **kwargs):
+        drawn.append(a)
+        return sample(*a, **kwargs)
+
+    monkeypatch.setattr(noise, "sample", counted)
+    monkeypatch.delattr(os, "fork")
+    assert noise.anti_concentration_probe(d, *args, delta=1.0, gamma=1.0).summary == expected
+    assert len(drawn) == 10
 
 
 @needs_pin
