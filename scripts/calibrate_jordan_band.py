@@ -24,7 +24,7 @@ def x_samples(n: int, delta: float, trials: int, seed: int) -> np.ndarray:
     """X for ``trials`` complex Ginibre draws on the N x N Jordan block; trial k
     is the harness's trial k of work unit N (substream ``(seed, N, k)``)."""
     a = realize(MatrixSpec(kind="jordan", n=n))
-    with _serial_draws("complex_ginibre", n, seed, trials, [n]) as draws:
+    with _serial_draws("complex_ginibre", seed, trials, [(n, n)]) as draws:
         return np.array([n * _trial(a, delta, draws)[1] - math.log(delta) for _ in range(trials)])
 
 

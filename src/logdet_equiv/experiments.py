@@ -15,8 +15,8 @@ field
     rectangular grid (:func:`log_potential_field`).
 
 Reproducibility: every run takes its spectra from ``ensembles.spectrum_of``
-and runs its trials in turn in ``noise._serial_draws``; both hold the BLAS
-pin of :mod:`.linalg`, which sets the loaded OpenBLAS to one thread.  Trial
+and runs all its trials in turn in one ``noise._serial_draws`` loop; both
+hold the BLAS pin of :mod:`.linalg`, setting OpenBLAS to one thread.  Trial
 ``k`` of work unit ``b`` (sweep step or grid point; 0 in single mode) draws
 from ``substream_seed(seed, b, k)``.  So output is byte-identical whether or
 not a helper draws it, and for any ``OPENBLAS_NUM_THREADS`` where the pin
@@ -293,25 +293,25 @@ def _trial(a: np.ndarray, delta: float, draws, diagnostics: bool = False):
     return sub, lhs, norm_g, smallest_singular_value(g)
 
 
-def _trial_records(config, a, delta, block, rhs, alpha, m, error_bound, diagnostics) -> list[TrialRecord]:
-    """One record per trial of work unit ``block``.  A NaN ``error_bound``
-    claims no budget (``within_budget`` None); a NaN ``alpha`` makes the
-    contraction NaN.  ``norm_g``, ``s_min_perturbed`` and ``contraction``
-    are measured only when ``diagnostics`` is set and are the ``math.nan``
-    constant otherwise, so records of one config still compare equal."""
-    n = a.shape[0]
+# A run's draw-loop measure with diagnostics: the helper takes ||G||, leaving each trial the LU and s_min(A + delta G).
+_NORM_G = (1, lambda g: [operator_norm(g)])
 
-    def one(k: int) -> TrialRecord:
+
+def _trial_records(config, draws, a, delta, rhs, alpha, m, error_bound, diagnostics) -> list[TrialRecord]:
+    """One record for each of the next ``config.trials`` draws of ``draws``, a draw loop that measures
+    :data:`_NORM_G` when ``diagnostics`` is set.  A NaN ``error_bound`` claims no budget
+    (``within_budget`` None); a NaN ``alpha`` makes the contraction NaN.  ``norm_g``,
+    ``s_min_perturbed`` and ``contraction`` are measured only when ``diagnostics`` is set and are
+    the ``math.nan`` constant otherwise, so records of one config still compare equal."""
+    n, records = a.shape[0], []
+    for k in range(config.trials):
         sub, lhs, norm_g, s_min = _trial(a, delta, draws, diagnostics)
         error = abs(lhs - rhs)
         within = None if math.isnan(error_bound) else bool(error <= error_bound)
         contraction = delta * norm_g / alpha if diagnostics else math.nan
-        return TrialRecord(k, sub, n, delta, alpha, m, lhs, rhs, error, error_bound, within, norm_g, s_min, contraction)
-
-    # With diagnostics the helper takes ||G||, so each trial leaves it only the LU and s_min(A + delta G).
-    measure = (1, lambda g: [operator_norm(g)]) if diagnostics else None
-    with _serial_draws(config.model, n, config.seed, config.trials, [block], measure) as draws:
-        return [one(k) for k in range(config.trials)]
+        records.append(TrialRecord(k, sub, n, delta, alpha, m, lhs, rhs, error, error_bound, within, norm_g, s_min,
+                                   contraction))
+    return records
 
 
 def _cutoff(spec: MatrixSpec, singvals, params: ParamConfig):
@@ -369,7 +369,9 @@ def run_theorem2(config: ExperimentConfig, diagnostics: bool = False):
     budget = error_budget(params, n, eps_n=eps_hat or 0.0)
 
     delta = params.delta
-    records = _trial_records(config, a, delta, 0, rhs, params.alpha, params.m, budget.error_bound, diagnostics)
+    measure = _NORM_G if diagnostics else None
+    with _serial_draws(config.model, config.seed, config.trials, [(0, n)], measure) as draws:
+        records = _trial_records(config, draws, a, delta, rhs, params.alpha, params.m, budget.error_bound, diagnostics)
     errors = [r.error for r in records]
     summary = {
         "mode": "single",
@@ -412,31 +414,26 @@ def run_theorem1(config: ExperimentConfig, diagnostics: bool = False):
         raise ConfigError(f"run_theorem1 needs mode 'sweep', got {config.mode!r}")
     gamma, eta, convention = config.params.gamma, config.params.eta, config.convention
 
-    records: list[TrialRecord] = []
-    per_n = []
-    for block, n in enumerate(int(x) for x in config.n_list):
-        spec_n = config.matrix.with_size(n)
-        a = realize(spec_n)
-        cutoff_index, sums, below_floor = _n_star_step(spec_n, spectrum_of(spec_n, a), gamma, eta)
-        delta = float(n) ** (-gamma)
-        rhs = sums[convention]
-        step_records = _trial_records(config, a, delta, block, rhs, math.nan, cutoff_index, math.nan, diagnostics)
-        records.extend(step_records)
-        flagged = not math.isfinite(rhs)
-        step_errors = [r.error for r in step_records]
-        per_n.append(
-            {
-                "N": n,
-                "N_star": cutoff_index,
-                "delta": delta,
-                "rhs": rhs,
-                **{f"rhs_{c}": value for c, value in sums.items()},
-                "flagged_infinite_rhs": flagged,
-                "below_svd_floor": below_floor,
+    sizes = [int(x) for x in config.n_list]
+    records, per_n = [], []
+    measure = _NORM_G if diagnostics else None
+    with _serial_draws(config.model, config.seed, config.trials, enumerate(sizes), measure) as draws:  # step b: unit b
+        for n in sizes:
+            spec_n = config.matrix.with_size(n)
+            a = realize(spec_n)
+            cutoff_index, sums, below_floor = _n_star_step(spec_n, spectrum_of(spec_n, a), gamma, eta)
+            delta = float(n) ** (-gamma)
+            rhs = sums[convention]
+            step_records = _trial_records(config, draws, a, delta, rhs, math.nan, cutoff_index, math.nan, diagnostics)
+            records.extend(step_records)
+            flagged = not math.isfinite(rhs)
+            step_errors = [r.error for r in step_records]
+            per_n.append({
+                "N": n, "N_star": cutoff_index, "delta": delta, "rhs": rhs, **{f"rhs_{c}": v for c, v in sums.items()},
+                "flagged_infinite_rhs": flagged, "below_svd_floor": below_floor,
                 "error_median": None if flagged else float(np.median(step_errors)),
                 "error": _quantile_block(step_errors),
-            }
-        )
+            })
     medians = [p["error_median"] for p in per_n if not p["flagged_infinite_rhs"]]
     summary = {
         "mode": "sweep",
@@ -492,7 +489,7 @@ def run_grushin_suite(config: ExperimentConfig):
         return [operator_norm(g), log_abs_det(a_delta), *(singular_values(a_delta) if params.m else ())]
 
     measured = (2 + (n if params.m else 0), measure)
-    with _serial_draws(config.model, n, config.seed, config.trials, [0], measured) as draws:
+    with _serial_draws(config.model, config.seed, config.trials, [(0, n)], measured) as draws:
         sys, blocks = build_grushin(a, params.m)
         # count_below puts alpha in [t_m, t_{m+1}) by construction, the window
         # the unperturbed norm estimates require.
@@ -589,7 +586,7 @@ def log_potential_field(config: ExperimentConfig):
         sd = float(values.std(ddof=1)) if values.size > 1 else 0.0
         return FieldPoint(float(z.real), float(z.imag), rhs, float(values.mean()), sd, config.trials), below_floor
 
-    with _serial_draws(config.model, n, config.seed, config.trials, range(len(points))) as draws:
+    with _serial_draws(config.model, config.seed, config.trials, [(p, n) for p in range(len(points))]) as draws:
         field_points, below = zip(*[point(p) for p in range(len(points))])
     gaps = [abs(fp.lhs_mean - fp.rhs) for fp in field_points if math.isfinite(fp.lhs_mean)]
     summary = {

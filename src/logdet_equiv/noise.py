@@ -7,16 +7,16 @@ operator-norm growth exponent ``kappa1``, Markov-type norm tails in ``tau``,
 and anti-concentration of the smallest singular value of ``D + G``.
 
 Draw loop: every trial of a run and every draw of a probe takes its noise from
-:func:`_serial_draws`, in turn.  Where it can, a forked helper process draws
-it one trial ahead into a two-slot shared ring, one helper per loop (a single
-run, sweep step, field run, suite, or probe size), and also takes what a trial
-needs of ``G`` alone where the caller names it: ``||G||`` for ``mc
+:func:`_serial_draws`, in turn, one loop (and one helper) per run or probe at
+all its sizes.  Where it can, a forked helper process draws it one trial ahead
+into a two-slot shared ring sized for the loop's largest ``N``, and also takes
+what a trial needs of ``G`` alone where the caller names it: ``||G||`` for ``mc
 --diagnostics``, and the suite's ``||G||`` and log-determinant and singular
 values of ``A + delta G``.  The loop holds the BLAS pin of :mod:`.linalg`
 from before the fork until the helper is reaped, so every LU and SVD of a
 trial, a probe or a suite check runs at one thread, as does the helper.  Only
 where ``os.fork`` is missing or no OpenBLAS can be pinned do the draws run in
-process, into one array kept while the loop lasts.
+process, each work unit's draws into the array of its first.
 
 Reproducibility contract: every trial draws from its own substream derived
 by hashing the root seed with a counter key, so results do not depend on
@@ -141,17 +141,17 @@ def _measured(measure, g: np.ndarray) -> bytes:
     return values.tobytes()
 
 
-def _helper(draw, keys, slots, drawn: int, free: int, measure):
-    """The helper process of :func:`_serial_draws`: ``draw`` ``keys`` in turn into alternate ``slots``,
-    each slot once it came back on ``free``, and send each ``seed_used`` with the values ``measure``
-    takes of that ``G`` on ``drawn``.  It stops at an end of file on ``free`` (the main process is
-    gone) and leaves through ``os._exit``, so no handler or buffer of the main process runs twice."""
+def _helper(draw, keys, ring, drawn: int, free: int, measure):
+    """The helper process of :func:`_serial_draws`: ``draw`` ``keys`` in turn into the heads of alternate
+    slots of ``ring``, each slot once it came back on ``free``, and send each ``seed_used`` with the
+    values ``measure`` takes of that ``G`` on ``drawn``.  It stops at an end of file on ``free`` (the main
+    process is gone) and leaves through ``os._exit``, so no handler or buffer of the main process runs twice."""
     status = 1
     try:
-        for i, (block, k) in enumerate(keys):
+        for i, (block, n, k) in enumerate(keys):
             if i >= 2 and not os.read(free, 1):
                 break
-            sub, g = draw(block, k, slots[i % 2])
+            sub, g = draw(block, n, k, ring[i % 2][: n * n].reshape(n, n))
             message = memoryview(sub.to_bytes(8, "little") + _measured(measure, g))
             while message:
                 message = message[os.write(drawn, message):]
@@ -172,62 +172,67 @@ def _read_exactly(fd: int, size: int) -> bytes:
 
 
 @contextmanager
-def _serial_draws(model: str, n: int, seed: int, trials: int, blocks, measure=None):
-    """The draw loop (see the module docstring): the ``N x N`` noise of ``model`` under root ``seed``
-    for trials ``0..trials-1`` of each of ``blocks`` in turn, as an iterator of ``(seed_used, G,
-    values)`` whose ``G`` lasts until the next is taken.
+def _serial_draws(model: str, seed: int, trials: int, units, measure=None):
+    """The draw loop (see the module docstring): the noise of ``model`` under root ``seed`` for trials
+    ``0..trials-1`` of each work unit ``(block, N)`` of ``units`` in turn, as an iterator of
+    ``(seed_used, G, values)`` whose ``N x N`` ``G`` lasts until the next is taken.
 
     ``measure``, when given, is ``(width, fn)``: the helper also takes ``fn(G)``, ``width`` floats
     that leave ``G`` as drawn, and ``values`` is them as a float64 array.  ``values`` is None
     without ``measure`` or a helper, and where one of them is NaN (``fn`` failed, see
     :func:`_measured`): then the trial takes them itself.
 
-    The helper (:func:`_helper`) draws into a two-slot shared ``mmap`` ring.  One pipe carries each
+    The helper (:func:`_helper`) draws into a two-slot shared ``mmap`` ring, each slot sized for the
+    largest ``N``; a trial's ``G`` is the ``N x N`` head of its slot.  One pipe carries each
     ``seed_used`` and its values, the other hands a slot back once its trial is done.  Leaving the
     block closes both pipes and reaps the helper, also when a trial raised; a helper that died
     early makes the next draw raise NumericalError."""
 
-    def draw(block: int, k: int, out: np.ndarray | None):
+    def draw(block: int, n: int, k: int, out: np.ndarray | None):
         """The noise of trial ``k`` of work unit ``block``: ``(seed_used, G)``, drawn into ``out`` if given."""
         sub = substream_seed(seed, block, k)
         return sub, sample(model, n, sub, out)
 
-    keys = [(block, k) for block in blocks for k in range(trials)]
+    keys = [(block, n, k) for block, n in units for k in range(trials)]
+    smallest, top = min((n for _, n, _ in keys), default=0), max((n for _, n, _ in keys), default=0)
     with linalg._one_blas_thread() as pinned:
-        # A size that sample rejects is drawn here too, so that its first draw names it.
-        if n < 1 or not hasattr(os, "fork") or not pinned:
+        # A size that sample rejects is drawn here too, so that its first draw names it; so is an empty loop.
+        if smallest < 1 or not hasattr(os, "fork") or not pinned:
 
             def drawn_here():
-                g = None  # the first draw's array is the buffer of every later one
-                for block, k in keys:
-                    sub, g = draw(block, k, g)
+                for block, n, k in keys:
+                    sub, g = draw(block, n, k, g if k else None)  # a unit's first draw makes the array of the rest
                     yield sub, g, None
 
             yield drawn_here()
             return
         import mmap
 
-        slots = np.frombuffer(mmap.mmap(-1, 2 * 16 * n * n), dtype=np.complex128).reshape(2, n, n)
+        try:
+            ring = np.frombuffer(mmap.mmap(-1, 2 * 16 * top * top), dtype=np.complex128).reshape(2, top * top)
+        except OSError as exc:  # too large an N for this machine: named as numpy names an array it cannot allocate
+            raise MemoryError(f"Unable to map two {top} x {top} complex128 ring slots ({exc.strerror})") from exc
         size = 8 * (1 + (measure[0] if measure else 0))
         drawn_r, drawn_w = os.pipe()
         free_r, free_w = os.pipe()
+        # The main process never draws, so only the helper loads numpy.random (about 5 MB of RSS and 15 ms of import).
         pid = _fork()
         if pid == 0:
             os.close(drawn_r)
             os.close(free_w)
-            _helper(draw, keys, slots, drawn_w, free_r, measure)
+            _helper(draw, keys, ring, drawn_w, free_r, measure)
         os.close(drawn_w)
         os.close(free_r)
 
         def draws():
-            for i, (block, k) in enumerate(keys):
+            for i, (block, n, k) in enumerate(keys):
                 message = _read_exactly(drawn_r, size)
                 if len(message) < size:
                     raise NumericalError(f"the noise helper process exited before trial {k} of work unit {block}")
                 values = np.frombuffer(message, dtype=np.float64, offset=8) if measure else None
                 if values is not None and np.isnan(values).any():
                     values = None
-                yield int.from_bytes(message[:8], "little"), slots[i % 2], values
+                yield int.from_bytes(message[:8], "little"), ring[i % 2][: n * n].reshape(n, n), values
                 if i + 2 < len(keys):
                     with suppress(BrokenPipeError):  # a dead helper is reported by the next read
                         os.write(free_w, b"\0")
@@ -294,9 +299,9 @@ def fit_growth(n_list, mean_norms) -> tuple[float, float, tuple]:
     return float(slope), float(intercept), tuple(float(r) for r in residuals)
 
 
-def _probe_values(model: str, n: int, trials: int, seed: int, block: int, measure) -> np.ndarray:
-    """``measure(G)``, taken in this process, for the draw ``G`` of each trial ``k < trials`` of ``block``."""
-    with _serial_draws(model, n, seed, trials, [block]) as draws:
+def _probe_values(model: str, units, trials: int, seed: int, measure) -> np.ndarray:
+    """``measure(G)``, taken in this process, for the draw ``G`` of each trial ``k < trials`` of each of ``units``."""
+    with _serial_draws(model, seed, trials, units) as draws:
         return np.array([measure(g) for _, g, _ in draws], dtype=float)
 
 
@@ -318,10 +323,8 @@ def norm_growth_probe(model: str, n_list, trials: int, seed: int) -> NormGrowthF
         raise ValueError("matrix sizes must be strictly ascending")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    per_n = [
-        _result(model, n, "operator_norm", _probe_values(model, n, trials, seed, block, operator_norm))
-        for block, n in enumerate(sizes)
-    ]
+    norms = _probe_values(model, enumerate(sizes), trials, seed, operator_norm).reshape(len(sizes), trials)
+    per_n = [_result(model, n, "operator_norm", values) for n, values in zip(sizes, norms)]
     slope, intercept, residuals = fit_growth(sizes, [r.summary["mean"] for r in per_n])
     return NormGrowthFit(per_n=tuple(per_n), kappa1_hat=slope, intercept=intercept, residuals=residuals)
 
@@ -347,7 +350,7 @@ def markov_tail_check(model: str, n: int, trials: int, tau_list, seed: int = 0) 
     errors.
     """
     taus = _tail_taus(model, trials, tau_list)
-    norms = _probe_values(model, n, trials, seed, 0, operator_norm)
+    norms = _probe_values(model, [(0, n)], trials, seed, operator_norm)
     mean_norm = float(norms.mean())
     c_hat = mean_norm / float(n) ** MARKOV_KAPPA1
     checks = []
@@ -374,7 +377,7 @@ def _rescaled_frequencies(d, model: str, trials: int, betas, seed: int, delta: f
     """:func:`anti_concentration_probe`'s ``rescaled_frequencies``, at one SVD per trial: only
     ``s_min(D + delta G)`` is measured, for a ``delta`` the caller has checked."""
     scaled = _frequencies(d.shape[0], betas, gamma)
-    smin = _probe_values(model, d.shape[0], trials, seed, 0, lambda g: smallest_singular_value(d + delta * g))
+    smin = _probe_values(model, [(0, d.shape[0])], trials, seed, lambda g: smallest_singular_value(d + delta * g))
     return scaled(smin)
 
 
@@ -413,9 +416,9 @@ def anti_concentration_probe(
         summary = {"mean": None, "quantiles": None, "frequencies": None, "rescaled_frequencies": None}
         return ProbeResult(model, n, 0, "smallest_singular_value", (), summary)
     if rescale is None:
-        smin, scaled = _probe_values(model, n, trials, seed, 0, lambda g: smallest_singular_value(d + g)), None
+        smin, scaled = _probe_values(model, [(0, n)], trials, seed, lambda g: smallest_singular_value(d + g)), None
     else:  # each G gives both values; the copy makes each column a contiguous array
-        smin, smin_scaled = _probe_values(model, n, trials, seed, 0, lambda g: (
+        smin, smin_scaled = _probe_values(model, [(0, n)], trials, seed, lambda g: (
             smallest_singular_value(d + g), smallest_singular_value(d + delta * g))).T.copy()
         scaled = rescale(smin_scaled)
     return _result(model, n, "smallest_singular_value", smin, frequencies=plain(smin), rescaled_frequencies=scaled)

@@ -195,6 +195,23 @@ def test_unallocatable_size_exits_three(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["sweep", "--matrix", "jordan", "--n", "10", "--n-list", "10,10000000", "--trials", "1", "--gamma", "1"],
+        ["probe-noise", "--n", "12", "--trials", "100", "--n-list", "4,10000000"],
+    ],
+    ids=["sweep", "probe-noise"],
+)
+def test_a_loop_whose_largest_size_cannot_be_allocated_exits_three(capsys, argv):
+    # The draw loop maps its ring for the largest N before the first draw, 3.2 PB here, which no address space holds;
+    # drawn in process, the first array of that size fails instead.  Either way the error names the size.
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: Unable to ") and "10000000" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["mc", "--config", "/no/such/file.json"],
         ["mc", "--matrix", "jordan"],  # --n missing
         ["mc", "--matrix", "diag:nonsense", "--n", "8"],

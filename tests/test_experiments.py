@@ -210,8 +210,8 @@ def _fresh_trial(config, a, delta, block, k):
     return log_abs_det(a_delta) / n, operator_norm(g), smallest_singular_value(a_delta)
 
 
-def test_trial_reuses_one_buffer_per_thread_bitwise(monkeypatch):
-    # Without os.fork a run's one thread draws its trials in turn, into the array of its first draw.
+def test_trial_reuses_one_buffer_per_loop_bitwise(monkeypatch):
+    # Without os.fork a draw loop draws its trials in turn in this process, a unit's trials into one array.
     monkeypatch.delattr(os, "fork")
     config = single_config(seed=5, trials=3)
     delta = 1e-3
@@ -219,7 +219,7 @@ def test_trial_reuses_one_buffer_per_thread_bitwise(monkeypatch):
         a = realize(MatrixSpec(kind="jordan", n=n, shift=0.3 + 0.2j))
         for diagnostics in (False, True):
             ids = set()
-            with noise._serial_draws(config.model, n, config.seed, config.trials, [2]) as draws:
+            with noise._serial_draws(config.model, config.seed, config.trials, [(2, n)]) as draws:
                 for k, draw in enumerate(draws):
                     ids.add(id(draw[1]))
                     lhs, norm_g, s_min = _fresh_trial(config, a, delta, 2, k)

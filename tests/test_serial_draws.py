@@ -112,6 +112,9 @@ def counted_forks(monkeypatch) -> list:
         (["mc", "--matrix", "jordan", "--n", "200", "--alpha", "0.5", "--gamma", "4", "--delta", "1e-9",
           "--trials", "6", "--seed", "3", "--probe-eps"], "records.csv"),
         (["probe-noise", "--n", "200", "--trials", "100", "--n-list", "100,200"], "probes.csv"),
+        # One draw loop holds both steps, so its ring slots hold G of two sizes.
+        (["sweep", "--matrix", "jordan", "--n", "100", "--n-list", "100,200", "--trials", "3", "--gamma", "1",
+          "--diagnostics"], "records.csv"),
     ],
 )
 def test_outputs_depend_on_neither_the_workers_nor_the_blas_threads(tmp_path, argv, artifact):
@@ -200,12 +203,35 @@ def test_a_probe_called_from_python_is_pinned_and_forks_at_any_blas_thread_count
             set_(threads)
             before = len(pids)
             results.append(noise.norm_growth_probe("complex_ginibre", [100, 200], 3, 0))
-            assert len(pids) - before == 2
+            assert len(pids) - before == 1
             assert get() == threads
     finally:
         set_(old)
     assert results[0] == results[1]
     assert_no_child_left()
+
+
+@needs_pin
+def test_a_sweep_and_the_growth_probe_set_the_blas_threads_once_to_pin_and_once_to_restore(monkeypatch):
+    # Each opens one draw loop for all its sizes, so one pin holds them all.
+    get, set_ = linalg._openblas_threads()
+    sets = []
+
+    def counted(threads):
+        sets.append(threads)
+        set_(threads)
+
+    monkeypatch.setattr(linalg, "_openblas_threads", lambda: (get, counted))
+    old = get()
+    set_(2)
+    try:
+        run_theorem1(SWEEP)
+        assert sets == [1, 2]
+        sets.clear()
+        noise.norm_growth_probe("complex_ginibre", [4, 8, 12], 3, 0)
+        assert sets == [1, 2]
+    finally:
+        set_(old)
 
 
 @needs_pin
@@ -232,7 +258,7 @@ def test_the_rescaled_anti_concentration_probe_draws_each_g_once(monkeypatch):
 
 
 @needs_pin
-def test_a_serial_run_draws_in_one_helper_per_run_step_or_field(monkeypatch, tmp_path):
+def test_a_serial_run_draws_in_one_helper_per_run_or_probe(monkeypatch, tmp_path):
     pids = counted_forks(monkeypatch)
     drawn_here, normed_here = [], []  # the helper appends to its own copies of the lists
     sample, operator_norm, invert_perturbed = noise.sample, experiments.operator_norm, experiments.invert_perturbed
@@ -267,17 +293,17 @@ def test_a_serial_run_draws_in_one_helper_per_run_step_or_field(monkeypatch, tmp
         assert cli.main(["probe-noise", "--n", "12", "--trials", "100", "--n-list", "4,8", "--out", str(prefix)]) == 0
         return [Path(f"{prefix}_{suffix}").read_bytes() for suffix in ("probes.csv", "summary.json")]
 
-    # The anti-concentration probe of --probe-eps opens one more helper; probe-noise one per growth size, one for
-    # the tail probe and one for the anti-concentration probe.
+    # The anti-concentration probe of --probe-eps opens one more helper; probe-noise one for the growth probe at
+    # all its sizes, one for the tail probe and one for the anti-concentration probe.
     runs.extend([lambda: run_theorem2(replace(SINGLE, probe_eps=True)), probe_noise])
     helped = [run() for run in runs]
-    assert len(pids) == 1 + len(SWEEP.n_list) + 1 + 1 + 1 + 1 + 2 + 4
+    assert len(pids) == 1 + 1 + 1 + 1 + 1 + 1 + 2 + 3
     assert drawn_here == [] and normed_here == []
     assert_no_child_left()
     # The reference: every draw taken in this process, as where os.fork is missing.
     monkeypatch.delattr(os, "fork")
     assert [run() for run in runs] == helped
-    assert len(pids) == 14 and drawn_here
+    assert len(pids) == 11 and drawn_here
 
 
 @needs_pin
@@ -298,13 +324,22 @@ def test_a_measurement_the_helper_cannot_take_is_taken_here(monkeypatch):
 
 
 @needs_pin
-def test_a_field_run_that_raises_leaves_no_child(monkeypatch, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["field", "--matrix", "jordan", "--n", "8", "--delta", "1e308", "--trials", "2", "--re-min", "-1",
+          "--re-max", "1", "--im-min", "-1", "--im-max", "1", "--steps", "2", "--workers", "1"],
+         "A + delta G overflows a float at delta = 1e+308"),
+        # The second step raises while the helper is already drawing that step's trials.
+        (["sweep", "--matrix", "diag:2x6,0x2", "--n", "8", "--n-list", "8,12", "--trials", "3", "--gamma", "1",
+          "--workers", "1"], "cannot resize a diagonal spec with fixed entries"),
+    ],
+    ids=["field", "sweep"],
+)
+def test_a_field_run_that_raises_leaves_no_child(monkeypatch, tmp_path, capsys, argv, error):
     pids = counted_forks(monkeypatch)
-    argv = ["field", "--matrix", "jordan", "--n", "8", "--delta", "1e308", "--trials", "2", "--re-min", "-1",
-            "--re-max", "1", "--im-min", "-1", "--im-max", "1", "--steps", "2", "--workers", "1",
-            "--out", str(tmp_path / "f")]
-    assert cli.main(argv) == 3
-    assert capsys.readouterr().err == "configuration error: A + delta G overflows a float at delta = 1e+308\n"
+    assert cli.main([*argv, "--out", str(tmp_path / "f")]) == 3
+    assert capsys.readouterr().err == f"configuration error: {error}\n"
     assert len(pids) == 1
     assert_no_child_left()
 
