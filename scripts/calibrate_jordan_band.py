@@ -20,12 +20,13 @@ from logdet_equiv.experiments import _trial
 from logdet_equiv.noise import _serial_draws
 
 
-def x_samples(n: int, delta: float, trials: int, seed: int) -> np.ndarray:
-    """X for ``trials`` complex Ginibre draws on the N x N Jordan block; trial k
-    is the harness's trial k of work unit N (substream ``(seed, N, k)``)."""
-    a = realize(MatrixSpec(kind="jordan", n=n))
-    with _serial_draws("complex_ginibre", seed, trials, [(n, n)]) as draws:
-        return np.array([n * _trial(a, delta, draws)[1] - math.log(delta) for _ in range(trials)])
+def x_samples(sizes, delta: float, trials: int, seed: int) -> list:
+    """X for ``trials`` complex Ginibre draws on the N x N Jordan block, one array per N of ``sizes``,
+    all drawn in one loop; trial k at N is the harness's trial k of work unit N (substream ``(seed, N, k)``)."""
+    blocks = [realize(MatrixSpec(kind="jordan", n=n)) for n in sizes]
+    with _serial_draws("complex_ginibre", seed, trials, [(n, n) for n in sizes]) as draws:
+        return [np.array([n * _trial(a, delta, draws)[1] - math.log(delta) for _ in range(trials)])
+                for n, a in zip(sizes, blocks)]
 
 
 def main() -> None:
@@ -45,8 +46,7 @@ def main() -> None:
     qs = (0.01, 0.05, 0.5, 0.95, 0.99)
     print(f"X = N*lhs - log(delta), {args.trials} trials per size, delta = {args.delta:g}")
     print("N     " + "".join(f"q{int(100 * q):02d}      " for q in qs))
-    for n in sizes:
-        x = x_samples(n, args.delta, args.trials, args.seed)
+    for n, x in zip(sizes, x_samples(sizes, args.delta, args.trials, args.seed)):
         row = np.quantile(x, qs)
         print(f"{n:<6d}" + "".join(f"{v: .3f}   " for v in row))
 

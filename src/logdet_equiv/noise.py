@@ -12,11 +12,11 @@ all its sizes.  Where it can, a forked helper process draws it one trial ahead
 into a two-slot shared ring sized for the loop's largest ``N``, and also takes
 what a trial needs of ``G`` alone where the caller names it: ``||G||`` for ``mc
 --diagnostics``, and the suite's ``||G||`` and log-determinant and singular
-values of ``A + delta G``.  The loop holds the BLAS pin of :mod:`.linalg`
-from before the fork until the helper is reaped, so every LU and SVD of a
-trial, a probe or a suite check runs at one thread, as does the helper.  Only
-where ``os.fork`` is missing or no OpenBLAS can be pinned do the draws run in
-process, each work unit's draws into the array of its first.
+values of ``A + delta G``.  A size or seed it cannot draw fails before the
+BLAS pin of :mod:`.linalg`, which the loop holds from before the fork until the
+helper is reaped: every LU and SVD of a trial, probe or suite check runs at one
+thread, as does the helper.  Only where ``os.fork`` is missing, nothing is pinned
+or nothing is drawn do the draws run in process, each unit's into its first's array.
 
 Reproducibility contract: every trial draws from its own substream derived
 by hashing the root seed with a counter key, so results do not depend on
@@ -143,13 +143,13 @@ def _measured(measure, g: np.ndarray) -> bytes:
 
 def _helper(draw, keys, ring, drawn: int, free: int, measure):
     """The helper process of :func:`_serial_draws`: ``draw`` ``keys`` in turn into the heads of alternate
-    slots of ``ring``, each slot once it came back on ``free``, and send each ``seed_used`` with the
-    values ``measure`` takes of that ``G`` on ``drawn``.  It stops at an end of file on ``free`` (the main
+    slots of ``ring``, each after taking a token (a free slot) from ``free``, and send each ``seed_used`` with
+    the values ``measure`` takes of that ``G`` on ``drawn``.  It stops at an end of file on ``free`` (the main
     process is gone) and leaves through ``os._exit``, so no handler or buffer of the main process runs twice."""
     status = 1
     try:
         for i, (block, n, k) in enumerate(keys):
-            if i >= 2 and not os.read(free, 1):
+            if not os.read(free, 1):
                 break
             sub, g = draw(block, n, k, ring[i % 2][: n * n].reshape(n, n))
             message = memoryview(sub.to_bytes(8, "little") + _measured(measure, g))
@@ -182,11 +182,11 @@ def _serial_draws(model: str, seed: int, trials: int, units, measure=None):
     without ``measure`` or a helper, and where one of them is NaN (``fn`` failed, see
     :func:`_measured`): then the trial takes them itself.
 
-    The helper (:func:`_helper`) draws into a two-slot shared ``mmap`` ring, each slot sized for the
-    largest ``N``; a trial's ``G`` is the ``N x N`` head of its slot.  One pipe carries each
-    ``seed_used`` and its values, the other hands a slot back once its trial is done.  Leaving the
-    block closes both pipes and reaps the helper, also when a trial raised; a helper that died
-    early makes the next draw raise NumericalError."""
+    A size :func:`sample` rejects or a negative ``seed`` raises ValueError before the pin and the fork.
+    The helper (:func:`_helper`) draws into a two-slot shared ``mmap`` ring sized for the largest ``N``;
+    a trial's ``G`` is the ``N x N`` head of its slot.  One pipe carries each ``seed_used`` and its values;
+    the other starts with a token per slot, which the helper takes before each draw and each trial returns.
+    Leaving the block closes both pipes and reaps the helper; a dead helper fails the next draw (NumericalError)."""
 
     def draw(block: int, n: int, k: int, out: np.ndarray | None):
         """The noise of trial ``k`` of work unit ``block``: ``(seed_used, G)``, drawn into ``out`` if given."""
@@ -194,10 +194,13 @@ def _serial_draws(model: str, seed: int, trials: int, units, measure=None):
         return sub, sample(model, n, sub, out)
 
     keys = [(block, n, k) for block, n in units for k in range(trials)]
-    smallest, top = min((n for _, n, _ in keys), default=0), max((n for _, n, _ in keys), default=0)
+    for n in (n for _, n, _ in keys if n < 1):  # sample names a size it rejects before it touches numpy.random
+        sample(model, n, seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    top = max((n for _, n, _ in keys), default=0)
     with linalg._one_blas_thread() as pinned:
-        # A size that sample rejects is drawn here too, so that its first draw names it; so is an empty loop.
-        if smallest < 1 or not hasattr(os, "fork") or not pinned:
+        if not keys or not hasattr(os, "fork") or not pinned:
 
             def drawn_here():
                 for block, n, k in keys:
@@ -215,6 +218,7 @@ def _serial_draws(model: str, seed: int, trials: int, units, measure=None):
         size = 8 * (1 + (measure[0] if measure else 0))
         drawn_r, drawn_w = os.pipe()
         free_r, free_w = os.pipe()
+        os.write(free_w, b"\0\0")  # one token per free slot
         # The main process never draws, so only the helper loads numpy.random (about 5 MB of RSS and 15 ms of import).
         pid = _fork()
         if pid == 0:
@@ -233,9 +237,8 @@ def _serial_draws(model: str, seed: int, trials: int, units, measure=None):
                 if values is not None and np.isnan(values).any():
                     values = None
                 yield int.from_bytes(message[:8], "little"), ring[i % 2][: n * n].reshape(n, n), values
-                if i + 2 < len(keys):
-                    with suppress(BrokenPipeError):  # a dead helper is reported by the next read
-                        os.write(free_w, b"\0")
+                with suppress(BrokenPipeError):  # a dead helper is reported by the next read
+                    os.write(free_w, b"\0")
 
         try:
             yield draws()
@@ -402,6 +405,8 @@ def anti_concentration_probe(
     """
     d = _require_square(as_matrix(d))
     _check_kind(model)
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     n = d.shape[0]
     betas = [float(b) for b in beta_list]
     plain, rescale = _frequencies(n, betas), None

@@ -1,11 +1,13 @@
-"""Shared generators and checks for the test suite.
+"""Shared generators, checks and the script loader for the test suite.
 
 Random instances are derived from the package's own seeded sampler so every
 test is reproducible; "random" below always means "pseudorandom from a fixed
 root seed".
 """
 
+import importlib.util
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -75,3 +77,12 @@ def assert_no_child_left():
     """No child process of this one is left, running or unreaped."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def load_script(name):
+    """The module of ``scripts/<name>.py``, loaded afresh."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -207,7 +207,7 @@ def test_markov_tail_check_validation():
 
 
 def test_a_probe_names_a_size_that_cannot_be_drawn():
-    # The draw loop leaves such a size to sample, with or without a helper, so that its first draw names it.
+    # The draw loop has sample name such a size before it pins OpenBLAS or forks its helper.
     with pytest.raises(ValueError, match=r"^matrix size must be >= 1, got 0$"):
         norm_growth_probe("complex_ginibre", [0, 4], trials=2, seed=0)
     with pytest.raises(ValueError, match=r"^matrix size must be >= 1, got -3$"):

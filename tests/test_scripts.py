@@ -1,6 +1,5 @@
 """Smoke tests for the scripts under scripts/."""
 
-import importlib.util
 import json
 import math
 import os
@@ -13,19 +12,14 @@ import pytest
 
 from logdet_equiv import MatrixSpec, realize, sample, substream_seed
 
+from helpers import load_script
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-
-
-def load_script(name):
-    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_calibration_samples_are_the_jordan_trials():
     n, delta, trials, seed = 8, 1e-8, 20, 1
-    x = load_script("calibrate_jordan_band").x_samples(n, delta, trials, seed)
+    x = load_script("calibrate_jordan_band").x_samples([n], delta, trials, seed)[0]
     a = realize(MatrixSpec(kind="jordan", n=n))
     expected = []
     for k in range(trials):

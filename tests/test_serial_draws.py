@@ -34,7 +34,7 @@ from logdet_equiv import (
     write_matrix_csv,
 )
 
-from helpers import assert_no_child_left
+from helpers import assert_no_child_left, load_script
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = str(Path(experiments.__file__).resolve().parents[1])
@@ -83,6 +83,22 @@ def run_cli(argv, threads):
                          text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     return run.stdout
+
+
+@pytest.fixture
+def sets_at_two_threads(monkeypatch):
+    """The thread counts set on OpenBLAS while the test runs at two BLAS threads; the old count is restored after."""
+    get, set_ = linalg._openblas_threads()
+    sets, old = [], get()
+
+    def counted(threads):
+        sets.append(threads)
+        set_(threads)
+
+    monkeypatch.setattr(linalg, "_openblas_threads", lambda: (get, counted))
+    set_(2)
+    yield sets
+    set_(old)
 
 
 def counted_forks(monkeypatch) -> list:
@@ -212,26 +228,63 @@ def test_a_probe_called_from_python_is_pinned_and_forks_at_any_blas_thread_count
 
 
 @needs_pin
-def test_a_sweep_and_the_growth_probe_set_the_blas_threads_once_to_pin_and_once_to_restore(monkeypatch):
+def test_a_sweep_and_the_growth_probe_set_the_blas_threads_once_to_pin_and_once_to_restore(sets_at_two_threads):
     # Each opens one draw loop for all its sizes, so one pin holds them all.
-    get, set_ = linalg._openblas_threads()
-    sets = []
+    sets = sets_at_two_threads
+    run_theorem1(SWEEP)
+    assert sets == [1, 2]
+    sets.clear()
+    noise.norm_growth_probe("complex_ginibre", [4, 8, 12], 3, 0)
+    assert sets == [1, 2]
 
-    def counted(threads):
-        sets.append(threads)
-        set_(threads)
 
-    monkeypatch.setattr(linalg, "_openblas_threads", lambda: (get, counted))
-    old = get()
-    set_(2)
+@needs_pin
+def test_the_calibration_script_draws_all_its_sizes_in_one_loop(monkeypatch, capsys, sets_at_two_threads):
+    pids = counted_forks(monkeypatch)
+    monkeypatch.setattr(sys, "argv", ["calibrate_jordan_band.py", "--trials", "50"])  # at its three default sizes
+    load_script("calibrate_jordan_band").main()
+    assert [line.split()[0] for line in capsys.readouterr().out.splitlines()[2:5]] == ["20", "50", "100"]
+    assert len(pids) == 1 and sets_at_two_threads == [1, 2]
+    assert_no_child_left()
+
+
+@needs_pin
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: noise.norm_growth_probe("complex_ginibre", [4, 8], 2, -1), "seed must be >= 0, got -1"),
+        (lambda: noise.norm_growth_probe("complex_ginibre", [0, 4], 2, 0), "matrix size must be >= 1, got 0"),
+        (lambda: noise.anti_concentration_probe(np.zeros((4, 4)), "complex_ginibre", -1, [1.0], 0),
+         "trials must be >= 0, got -1"),
+    ],
+    ids=["seed", "size", "anti-concentration-trials"],
+)
+def test_a_plan_that_cannot_be_drawn_fails_before_the_pin_and_the_fork(monkeypatch, sets_at_two_threads, call, error):
+    pids = counted_forks(monkeypatch)
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+        call()
+    assert pids == [] and sets_at_two_threads == []
+
+
+@needs_pin
+def test_the_main_process_never_imports_numpy_random():
+    # Only the helper draws; a plan rejected before the fork draws nothing either.  numpy.random costs about 5 MB of RSS.
+    code = """
+import sys
+from logdet_equiv import ExperimentConfig, MatrixSpec, noise, run_theorem2
+run_theorem2(ExperimentConfig(matrix=MatrixSpec(kind="jordan", n=12), model="complex_ginibre", trials=3))
+noise.norm_growth_probe("complex_ginibre", [4, 8], 2, 0)
+for seed, sizes in ((-1, [4, 8]), (0, [0, 4])):
     try:
-        run_theorem1(SWEEP)
-        assert sets == [1, 2]
-        sets.clear()
-        noise.norm_growth_probe("complex_ginibre", [4, 8, 12], 3, 0)
-        assert sets == [1, 2]
-    finally:
-        set_(old)
+        noise.norm_growth_probe("complex_ginibre", sizes, 2, seed)
+    except ValueError:
+        pass
+print("numpy.random" in sys.modules)
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "False\n"
 
 
 @needs_pin
