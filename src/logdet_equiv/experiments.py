@@ -92,8 +92,8 @@ __all__ = [
     "config_from_dict",
 ]
 
-# Substream block reserved for the optional anti-concentration probe, far
-# outside the range of sweep/grid block indices.
+# Key of the root seed of mc --probe-eps's anti-concentration probe: the probe draws work unit 0 under
+# substream_seed(seed, EPS_PROBE_BLOCK), not a block of the run's own root seed.
 EPS_PROBE_BLOCK = 0xFFFFFFFF
 
 
@@ -344,12 +344,14 @@ def run_theorem2(config: ExperimentConfig, diagnostics: bool = False):
     Returns ``(records, summary)``.  The summary reports the empirical
     success frequency P(error <= budget) next to the partial probability
     floor ``1 - 1/tau``; the anti-concentration failure rate ``eps_hat``
-    is measured only when ``config.probe_eps`` is set (None = unavailable,
-    making the full floor unavailable too).  ``diagnostics`` fills the
-    records' ``norm_g``, ``s_min_perturbed`` and ``contraction`` (NaN
-    otherwise); the summary does not depend on it.  ``below_svd_floor`` is
-    true when ``alpha`` lies under :func:`~logdet_equiv.ensembles.svd_floor`,
-    so that ``M`` and ``rhs`` read roundoff of a dense SVD.
+    is measured only when ``config.probe_eps`` is set and ``delta > 0``
+    (None = unavailable, making the full floor unavailable too); it enters
+    the summary's ``eps_hat`` and ``floor_full`` and no record.
+    ``diagnostics`` fills the records' ``norm_g``, ``s_min_perturbed`` and
+    ``contraction`` (NaN otherwise); the summary does not depend on it.
+    ``below_svd_floor`` is true when ``alpha`` lies under
+    :func:`~logdet_equiv.ensembles.svd_floor`, so that ``M`` and ``rhs``
+    read roundoff of a dense SVD.
     """
     if config.mode != "single":
         raise ConfigError(f"run_theorem2 needs mode 'single', got {config.mode!r}")

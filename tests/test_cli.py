@@ -21,6 +21,7 @@ from logdet_equiv import (
     cli,
     config_from_dict,
     ensembles,
+    experiments,
     noise,
     operator_norm,
     parse_matrix_arg,
@@ -142,18 +143,37 @@ def test_mc_probe_eps_flag(capsys):
     assert "eps_hat = unavailable" not in out
 
 
-def test_probe_eps_accepts_every_delta_that_mc_accepts(capsys):
+def test_probe_eps_accepts_every_delta_that_mc_accepts(tmp_path, capsys):
     # delta sits just under N^-gamma = 1e-4, inside the window gate's relative slack of 1e-12.
     argv = ["mc", "--matrix", "jordan", "--n", "100", "--alpha", "0.5", "--gamma", "2",
-            "--delta", "9.9999999999990e-05", "--trials", "3"]
+            "--delta", "9.9999999999990e-05", "--trials", "3", "--out", str(tmp_path / "r")]
     assert cli.main(argv) == 0
     plain = capsys.readouterr().out.splitlines()
+    plain_records = (tmp_path / "r_records.csv").read_bytes()
     assert cli.main([*argv, "--probe-eps"]) == 0
     probed = capsys.readouterr().out.splitlines()
     assert [line for line in plain if not line.startswith("eps_hat = ")] == [
         line for line in probed if not line.startswith("eps_hat = ")
     ]
     assert "eps_hat = unavailable" in plain and "eps_hat = 0.0" in probed
+    # eps_hat enters the summary's full floor, and no record's budget.
+    assert (tmp_path / "r_records.csv").read_bytes() == plain_records
+
+
+def test_probe_eps_at_delta_zero_probes_nothing(tmp_path, capsys, monkeypatch):
+    argv = ["mc", "--matrix", "jordan", "--n", "20", "--delta", "0", "--trials", "3", "--out", str(tmp_path / "r")]
+    assert cli.main(argv) == 0
+    plain = capsys.readouterr().out
+    plain_records = (tmp_path / "r_records.csv").read_bytes()
+    plain_summary = json.loads((tmp_path / "r_summary.json").read_text())
+    monkeypatch.setattr(experiments, "_rescaled_frequencies", lambda *args: pytest.fail("probed at delta = 0"))
+    assert cli.main([*argv, "--probe-eps"]) == 0
+    assert capsys.readouterr().out == plain and "eps_hat = unavailable" in plain.splitlines()
+    assert (tmp_path / "r_records.csv").read_bytes() == plain_records
+    summary = json.loads((tmp_path / "r_summary.json").read_text())
+    assert summary["eps_hat"] is None and summary["floor_full"] is None
+    assert summary["config"].pop("probe_eps") is True and plain_summary["config"].pop("probe_eps") is False
+    assert summary == plain_summary
 
 
 def test_mc_probe_eps_hat_is_pinned(tmp_path, capsys):
@@ -162,9 +182,14 @@ def test_mc_probe_eps_hat_is_pinned(tmp_path, capsys):
     payload["params"] = {**HOSTILE_BASE["params"], "tau": 10.0, "beta": 0.25}
     path = tmp_path / "eps.json"
     path.write_text(json.dumps(payload))
-    assert cli.main(["mc", "--config", str(path), "--probe-eps"]) == 0
+    argv = ["mc", "--config", str(path), "--out", str(tmp_path / "r")]
+    assert cli.main([*argv, "--probe-eps"]) == 0
     out = capsys.readouterr().out
     assert "eps_hat = 0.42857142857142855" in out.splitlines()
+    # A nonzero eps_hat still changes no record.
+    probed_records = (tmp_path / "r_records.csv").read_bytes()
+    assert cli.main(argv) == 0
+    assert (tmp_path / "r_records.csv").read_bytes() == probed_records
 
 
 # sha256 of probe-noise --n 24 --trials 100 --n-list 8,16 --beta-list 0.5,1, taken before the three
