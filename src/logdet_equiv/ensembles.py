@@ -106,8 +106,13 @@ def realize(spec: MatrixSpec) -> np.ndarray:
         if base.shape != (n, n):
             raise ValueError(f"matrix file {spec.path!r} has shape {base.shape}, spec says ({n}, {n})")
     if spec.shift is not None:
-        base = complex(spec.shift) * np.eye(n, dtype=np.complex128) - base
+        base = _shifted(spec.shift, base)
     return base
+
+
+def _shifted(z, a: np.ndarray) -> np.ndarray:
+    """``z I - a`` as a new array; its identity is freed on return."""
+    return complex(z) * np.eye(a.shape[0], dtype=np.complex128) - a
 
 
 def known_singvals(spec: MatrixSpec):

@@ -37,7 +37,7 @@ from sys import float_info
 
 import numpy as np
 
-from .ensembles import MatrixSpec, _parse_complex, realize, spectrum_of, svd_floor
+from .ensembles import MatrixSpec, _parse_complex, _shifted, realize, spectrum_of, svd_floor
 from .equivalents import (
     CONVENTIONS,
     EquivalenceParams,
@@ -573,13 +573,12 @@ def log_potential_field(config: ExperimentConfig):
         raise ConfigError(f"log_potential_field needs mode 'field', got {config.mode!r}")
     base = realize(config.matrix)
     n = int(config.matrix.n)
-    eye = np.eye(n, dtype=np.complex128)
     delta = config.params.delta
     points = config.z_grid.points()
 
     def point(p: int) -> tuple[FieldPoint, bool]:
         z = points[p]
-        a_z, spec_z = z * eye - base, replace(config.matrix, shift=z)
+        a_z, spec_z = _shifted(z, base), replace(config.matrix, shift=z)
         try:
             _, rhs, below_floor = _cutoff(spec_z, spectrum_of(spec_z, a_z), config.params)
         except ConfigError as exc:

@@ -17,7 +17,8 @@ are positive, with closed-form inverse blocks::
 Everything here treats that construction as executable algebra: building the
 blocks, inverting the noisy variant ``A + delta G`` both directly and by a
 Neumann series, and checking the determinant/Schur identities and norm
-bounds the blocks satisfy.
+bounds the blocks satisfy.  :func:`build_grushin` builds the blocks once from the
+paired SVD; a system keeps ``A``, the ``t_i`` and the blocks, not the singular vectors.
 """
 
 from __future__ import annotations
@@ -108,13 +109,15 @@ def _eq(check: str, n: int | None, lhs: float, rhs: float, slack: float) -> Chec
 
 @dataclass(frozen=True)
 class GrushinSystem:
-    """A matrix together with its deflation data."""
+    """A matrix with its deflation data: the injections, the ascending singular values ``t`` and the
+    closed-form inverse blocks, built once; the SVD's vectors are not kept."""
 
     a: np.ndarray
     m: int
     r_plus: np.ndarray
     r_minus: np.ndarray
-    svd: SvdFactorization
+    t: np.ndarray
+    blocks: InverseBlocks
 
     @property
     def n(self) -> int:
@@ -123,12 +126,7 @@ class GrushinSystem:
     @property
     def retained(self) -> np.ndarray:
         """Singular values kept out of the deflated space (ascending)."""
-        return self.svd.t[self.m:]
-
-    @cached_property
-    def blocks(self) -> InverseBlocks:
-        """Closed-form inverse blocks of the assembled system, built once."""
-        return inverse_blocks(self)
+        return self.t[self.m:]
 
     @cached_property
     def assembled_logdet(self) -> float:
@@ -186,8 +184,9 @@ class PerturbedSystem:
 def build_grushin(a, m: int) -> tuple[GrushinSystem, InverseBlocks]:
     """Deflate the ``m`` smallest singular directions of ``a``.
 
-    Returns the augmented system and the closed-form inverse blocks of its
-    assembled matrix.
+    Builds the injections and the closed-form inverse blocks once from the paired
+    SVD of ``a``; the system keeps the singular values, not the SVD's vectors.
+    Returns the augmented system and its blocks.
 
     Raises
     ------
@@ -208,21 +207,21 @@ def build_grushin(a, m: int) -> tuple[GrushinSystem, InverseBlocks]:
             f"retained singular value t_{m + 1} is exactly zero; "
             f"a deflation count of {m} leaves the system singular"
         )
-    e_lo = svd.e[:, :m]
-    f_lo = svd.f[:, :m]
+    # Copies, not views: a view would keep a vector matrix alive through the run.
     sys = GrushinSystem(
         a=a,
         m=int(m),
-        r_plus=np.ascontiguousarray(e_lo.conj().T),
-        r_minus=np.ascontiguousarray(f_lo),
-        svd=svd,
+        r_plus=np.ascontiguousarray(svd.e[:, :m].conj().T),
+        r_minus=svd.f[:, :m].copy(),
+        t=svd.t,
+        blocks=inverse_blocks(svd, m),
     )
     return sys, sys.blocks
 
 
-def inverse_blocks(sys: GrushinSystem) -> InverseBlocks:
-    """Closed-form inverse blocks of :func:`assemble`, straight from the SVD."""
-    svd, m = sys.svd, sys.m
+def inverse_blocks(svd: SvdFactorization, m: int) -> InverseBlocks:
+    """Closed-form inverse blocks of :func:`assemble` for the deflation of the ``m``
+    smallest singular directions, straight from the paired SVD of ``A``."""
     t_hi = svd.t[m:]
     e_blk = (svd.e[:, m:] / t_hi) @ svd.f[:, m:].conj().T
     return InverseBlocks(
@@ -262,7 +261,7 @@ def grushin_det_identity(sys: GrushinSystem) -> tuple[float, float]:
 
 def default_alpha(sys: GrushinSystem) -> float:
     """Natural cutoff attached to the deflation: ``t_{m+1}`` (``inf`` if m = n)."""
-    return float(sys.svd.t[sys.m]) if sys.m < sys.n else math.inf
+    return float(sys.t[sys.m]) if sys.m < sys.n else math.inf
 
 
 def invert_perturbed(
@@ -375,7 +374,7 @@ def _neumann_blocks(sys: GrushinSystem, g: np.ndarray, delta: float, n_terms: in
 
     Each step adds ``I`` into its fresh product in place, so the loop holds four ``n x n`` arrays
     (``X``, ``S_{k-1}``, ``S_k`` and the next product); the dense ``S_0`` is dropped after the first
-    step.  ``g`` and the cached ``sys.blocks`` are only read."""
+    step.  ``g`` and the system's unperturbed ``sys.blocks`` are only read."""
     base = sys.blocks
     if delta == 0.0 or n_terms <= 0:
         # Empty series: the perturbed blocks are exactly the unperturbed ones.
@@ -410,7 +409,7 @@ def neumann_tail_bound(contraction: float, alpha: float, n_terms: int) -> float:
 
 
 def _check_pairing(sys: GrushinSystem, pert: PerturbedSystem) -> None:
-    if pert.base is not sys and (pert.base.m != sys.m or pert.base.a.shape != sys.a.shape):
+    if pert.base is not sys and (pert.base.m != sys.m or not np.array_equal(pert.base.a, sys.a)):
         raise ValueError("perturbed system does not belong to the given Grushin system")
 
 
@@ -483,7 +482,7 @@ def norm_estimates(sys: GrushinSystem, blocks: InverseBlocks, alpha: float) -> l
     ``||E_plus|| = ||E_minus|| = 1`` (when ``m >= 1``) and
     ``||E_minus_plus|| <= alpha``.
     """
-    t, m, n = sys.svd.t, sys.m, sys.n
+    t, m, n = sys.t, sys.m, sys.n
     lo = float(t[m - 1]) if m >= 1 else 0.0
     hi = float(t[m]) if m < n else math.inf
     if not lo <= alpha <= hi:

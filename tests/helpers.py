@@ -34,14 +34,14 @@ def grushin_instance(seed, n_max=20, m_max=6, min_retained=0.05, min_m=0):
         m = int(rng.integers(min_m, min(m_max, n - 1) + 1))
         a = sample("complex_ginibre", n, substream_seed(key, 1))
         sys, blocks = build_grushin(a, m)
-        if float(sys.svd.t[m]) >= min_retained:
+        if float(sys.t[m]) >= min_retained:
             return sys, blocks
     raise RuntimeError("no admissible instance in 500 attempts")
 
 
 def midpoint_alpha(sys):
     """The centre of the admissible cutoff window [t_m, t_{m+1}]."""
-    t = sys.svd.t
+    t = sys.t
     if sys.m == 0:
         return 0.5 * float(t[0])
     return 0.5 * (float(t[sys.m - 1]) + float(t[sys.m]))

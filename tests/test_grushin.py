@@ -28,6 +28,7 @@ from logdet_equiv import (
     perturbation_drift_bound,
     perturbed_norm_estimates,
     schur_logdet,
+    svd_paired,
 )
 
 from logdet_equiv import experiments
@@ -45,7 +46,7 @@ def test_rank_one_deflation_closed_form():
     # pair for t = 0 is only defined up to a unit phase, so the mixed blocks
     # are compared in absolute value; E and E_minus_plus are phase-free.
     sys, blocks = build_grushin(np.diag([2.0, 0.0]), 1)
-    np.testing.assert_allclose(sys.svd.t, [0.0, 2.0], atol=0)
+    np.testing.assert_allclose(sys.t, [0.0, 2.0], atol=0)
     np.testing.assert_allclose(blocks.e, [[0.5, 0.0], [0.0, 0.0]], atol=1e-15)
     np.testing.assert_allclose(np.abs(blocks.e_plus), [[0.0], [1.0]], atol=1e-15)
     np.testing.assert_allclose(np.abs(blocks.e_minus), [[0.0, 1.0]], atol=1e-15)
@@ -441,16 +442,16 @@ def test_norm_estimates_within_window():
 
 def test_norm_estimates_rejects_alpha_outside_window():
     sys, blocks = grushin_instance(seed=51, min_m=1)
-    hi = float(sys.svd.t[sys.m])
+    hi = float(sys.t[sys.m])
     with pytest.raises(ValueError):
         norm_estimates(sys, blocks, hi * 1.5)
     with pytest.raises(ValueError):
-        norm_estimates(sys, blocks, float(sys.svd.t[sys.m - 1]) * 0.5)
+        norm_estimates(sys, blocks, float(sys.t[sys.m - 1]) * 0.5)
 
 
 def test_norm_estimates_at_window_edges():
     sys, blocks = grushin_instance(seed=52, min_m=1)
-    for alpha in (float(sys.svd.t[sys.m - 1]), float(sys.svd.t[sys.m])):
+    for alpha in (float(sys.t[sys.m - 1]), float(sys.t[sys.m])):
         if alpha > 0:
             assert all(r.passed for r in norm_estimates(sys, blocks, alpha))
 
@@ -476,12 +477,12 @@ def test_perturbed_norm_estimates_need_contraction_regime():
 
 def test_default_alpha_is_first_retained():
     sys, _ = grushin_instance(seed=62, min_m=1)
-    assert default_alpha(sys) == float(sys.svd.t[sys.m])
+    assert default_alpha(sys) == float(sys.t[sys.m])
 
 
 def test_inverse_blocks_standalone_matches_build():
     sys, blocks = grushin_instance(seed=63)
-    again = inverse_blocks(sys)
+    again = inverse_blocks(svd_paired(sys.a), sys.m)
     np.testing.assert_array_equal(again.e, blocks.e)
     np.testing.assert_array_equal(again.e_minus_plus, blocks.e_minus_plus)
 
@@ -505,8 +506,13 @@ def test_each_assembled_determinant_is_taken_once(monkeypatch):
 def test_a_perturbation_of_another_system_is_refused():
     a = gaussian_matrix(6, seed=31)
     sys, _ = build_grushin(a, 1)
-    other, _ = build_grushin(a, 2)
-    pert = invert_perturbed(other, gaussian_matrix(6, seed=32), 1e-3, "direct")
-    for check in (schur_logdet, perturbation_drift_bound, interlacing_check):
-        with pytest.raises(ValueError, match="^perturbed system does not belong to the given Grushin system$"):
-            check(sys, pert)
+    # Another deflation count of the same matrix, and the same count and shape of another matrix.
+    for other_a, other_m in ((a, 2), (gaussian_matrix(6, seed=33), 1)):
+        other, _ = build_grushin(other_a, other_m)
+        pert = invert_perturbed(other, gaussian_matrix(6, seed=32), 1e-3, "direct")
+        for check in (schur_logdet, perturbation_drift_bound, interlacing_check):
+            with pytest.raises(ValueError, match="^perturbed system does not belong to the given Grushin system$"):
+                check(sys, pert)
+    # The same matrix and count, built again, is accepted.
+    twin, _ = build_grushin(a.copy(), 1)
+    perturbation_drift_bound(sys, invert_perturbed(twin, gaussian_matrix(6, seed=32), 1e-3, "direct"))
