@@ -159,7 +159,7 @@ class InverseBlocks:
 
 @dataclass(frozen=True)
 class PerturbedSystem:
-    """Inverse blocks of the assembled system for ``A + delta G``."""
+    """The assembled ``P^d`` of ``A + delta G`` (``bordered``), its inverse blocks, ``a_delta`` its top-left view."""
 
     base: GrushinSystem
     g: np.ndarray
@@ -169,6 +169,7 @@ class PerturbedSystem:
     norm_g: float
     contraction: float
     a_delta: np.ndarray
+    bordered: np.ndarray
 
     @property
     def within_contraction(self) -> bool:
@@ -178,7 +179,7 @@ class PerturbedSystem:
     @cached_property
     def assembled_logdet(self) -> float:
         """``log |det P^d|`` of :func:`assemble_perturbed`, taken on first use."""
-        return log_abs_det(assemble_perturbed(self))
+        return log_abs_det(self.bordered)
 
 
 def build_grushin(a, m: int) -> tuple[GrushinSystem, InverseBlocks]:
@@ -244,8 +245,8 @@ def assemble(sys: GrushinSystem) -> np.ndarray:
 
 
 def assemble_perturbed(pert: PerturbedSystem) -> np.ndarray:
-    """Same block layout with ``A`` replaced by ``A + delta G``."""
-    return _bordered(pert.base, pert.a_delta)
+    """Same block layout with ``A`` replaced by ``A + delta G``: the ``P^d`` the system holds, not a copy."""
+    return pert.bordered
 
 
 def grushin_det_identity(sys: GrushinSystem) -> tuple[float, float]:
@@ -279,7 +280,7 @@ def invert_perturbed(
     Parameters
     ----------
     method : {"direct", "neumann"}
-        ``direct`` inverts the assembled ``(n+m) x (n+m)`` matrix densely.
+        ``direct`` inverts ``P^d``, the ``(n+m) x (n+m)`` assembled matrix that both methods form once, densely.
         ``neumann`` expands around the unperturbed blocks::
 
             E^d          = sum_k (-delta)^k E (G E)^k
@@ -293,8 +294,8 @@ def invert_perturbed(
         Cutoff used for the contraction ratio.  Defaults to ``t_{m+1}``
         (the natural scale of ``1/||E||``); ``inf`` when ``m = n``.
     n_terms : int
-        Highest power of ``delta`` retained by the Neumann expansion.  The
-        Horner recursion behind it stops as soon as a step returns its input
+        Highest power of ``delta`` retained by the Neumann expansion, >= 0.
+        The Horner recursion behind it stops as soon as a step returns its input
         bit for bit; the later steps would repeat that same product, so the
         blocks equal those of all ``n_terms`` steps exactly.
     norm_g : float, optional
@@ -318,17 +319,22 @@ def invert_perturbed(
     alpha = float(alpha)
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
+    if n_terms < 0:
+        raise ValueError(f"n_terms must be >= 0, got {n_terms}")
     norm_g = operator_norm(g) if norm_g is None else float(norm_g)
     contraction = 0.0 if delta == 0.0 else delta * norm_g / alpha
 
     n = sys.n
+    bordered = np.empty((n + sys.m, n + sys.m), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
-        a_delta = sys.a + delta * g
+        a_delta = np.multiply(g, delta, out=bordered[:n, :n])  # then + A: as * and + commute, A + delta G bit for bit
+        a_delta += sys.a
     if not np.isfinite(a_delta).all():
         raise NumericalError(f"A + delta G overflows a float at delta = {delta:g}")
+    bordered[:n, n:], bordered[n:, :n], bordered[n:, n:] = sys.r_minus, sys.r_plus, 0.0
     if method == "direct":
         try:
-            inv = np.linalg.inv(_bordered(sys, a_delta))
+            inv = np.linalg.inv(bordered)
         except np.linalg.LinAlgError as exc:
             raise NumericalError("assembled perturbed system is singular") from exc
         if not np.isfinite(inv).all():
@@ -352,6 +358,7 @@ def invert_perturbed(
         norm_g=norm_g,
         contraction=float(contraction),
         a_delta=a_delta,
+        bordered=bordered,
     )
 
 
@@ -372,23 +379,25 @@ def _neumann_blocks(sys: GrushinSystem, g: np.ndarray, delta: float, n_terms: in
     the same operands again, so ``S_K = S_{K-1} = S_k`` and the blocks are exactly those of all
     ``K = n_terms`` steps.  At a small contraction ``q`` that happens after about ``log eps / log q`` steps.
 
-    Each step adds ``I`` into its fresh product in place, so the loop holds four ``n x n`` arrays
-    (``X``, ``S_{k-1}``, ``S_k`` and the next product); the dense ``S_0`` is dropped after the first
-    step.  ``g`` and the system's unperturbed ``sys.blocks`` are only read."""
+    Each step adds ``I`` into its fresh product in place and compares it with ``S_{k-1}``, kept past its step
+    only for ``mid`` at the last one, so a converging loop holds three ``n x n`` arrays: ``X``, ``S_{k-1}``, ``S_k``.
+    On an early stop ``S_{K-1} = S_K``; at ``n_terms = 1`` ``S_0 = I``.  ``g`` and ``sys.blocks`` are only read."""
     base = sys.blocks
     if delta == 0.0 or n_terms <= 0:
         # Empty series: the perturbed blocks are exactly the unperturbed ones.
         return base
     e, e_minus = base.e, base.e_minus
-    x = -delta * (g @ e)
-    s_prev = np.eye(sys.n, dtype=np.complex128)
-    s = s_prev + x
-    for _ in range(n_terms - 1):
+    x = g @ e
+    x *= -delta
+    s = s_prev = _identity_plus(x.copy())
+    for k in range(2, n_terms + 1):
+        step = _identity_plus(x @ s)
         # ``I + Z`` holds no ``-0.0`` (``+0 + -0 = +0``), so equal here is equal bit for bit.
-        if np.array_equal(s, s_prev):
+        if np.array_equal(step, s):
+            del step  # the repeated product, dropped before the blocks are formed; S_{K-1} = S_K = s_prev = s
             break
-        s_prev, s = s, _identity_plus(x @ s)
-    mid = -delta * (s_prev @ (g @ base.e_plus))
+        s_prev, s = (s if k == n_terms else step), step
+    mid = -delta * ((np.eye(sys.n, dtype=np.complex128) if n_terms == 1 else s_prev) @ (g @ base.e_plus))
     return InverseBlocks(e @ s, base.e_plus + e @ mid, e_minus @ s, base.e_minus_plus + e_minus @ mid)
 
 

@@ -358,6 +358,10 @@ def test_invert_argument_validation():
         invert_perturbed(sys, g, 1e-3, alpha=0.0)
     with pytest.raises(ValueError):
         invert_perturbed(sys, g, 1e-3, "cramer")
+    with pytest.raises(ValueError, match="n_terms"):
+        invert_perturbed(sys, g, 1e-3, "neumann", n_terms=-1)
+    # Order 0 is legal: the unperturbed blocks.
+    assert invert_perturbed(sys, g, 1e-3, "neumann", n_terms=0).blocks is sys.blocks
 
 
 def test_tail_bound_shape():
@@ -501,6 +505,37 @@ def test_each_assembled_determinant_is_taken_once(monkeypatch):
     assert det_lhs == 2.0 * expected["base"]
     assert schur_rhs == expected["perturbed"] + log_abs_det(pert.blocks.e_minus_plus)
     assert drift == abs(expected["perturbed"] - expected["base"]) / sys.n
+
+
+def test_one_bordered_system_per_trial(monkeypatch):
+    # P^d = [[A + delta G, R_minus], [R_plus, 0]] is formed once per perturbation and held, A + delta G in view.
+    sys, _, direct = perturbed_instance(seed=65, contraction=0.3, min_m=1)
+    zero = np.zeros((sys.m, sys.m), dtype=np.complex128)
+    expected = np.block([[sys.a + direct.delta * direct.g, sys.r_minus], [sys.r_plus, zero]])
+    for method in ("direct", "neumann"):
+        pert = invert_perturbed(sys, direct.g, direct.delta, method, alpha=direct.alpha)
+        held = assemble_perturbed(pert)
+        assert held.dtype == expected.dtype and held.tobytes() == expected.tobytes(), method
+        assert np.shares_memory(pert.a_delta, held), method
+
+    # In the suite, a trial's LU of P^d reads the very array that its direct inverse read.
+    inverted, factored = [], []
+    inv, det = np.linalg.inv, grushin_module.log_abs_det
+    monkeypatch.setattr(np.linalg, "inv", lambda x: inverted.append(x) or inv(x))
+    monkeypatch.setattr(grushin_module, "log_abs_det", lambda x: factored.append(x) or det(x))
+    config = ExperimentConfig(
+        matrix=MatrixSpec(kind="diagonal", n=40, diag=((2.0, 36), (0.0, 4))),
+        model="complex_ginibre",
+        params=ParamConfig(alpha=1.0, gamma=4.0, delta=1e-8, tau=10.0),
+        trials=3,
+        seed=909,
+    )
+    _, summary = experiments.run_grushin_suite(config)
+    assert summary["ok"]
+    bordered = [x for x in factored if np.shape(x) == (44, 44)][1:]  # the first is the unperturbed P
+    assert len(inverted) == len(bordered) == config.trials
+    for x, y in zip(inverted, bordered):
+        assert np.shares_memory(x, y)
 
 
 def test_a_perturbation_of_another_system_is_refused():
