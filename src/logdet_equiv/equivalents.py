@@ -112,7 +112,8 @@ def auto_alpha(singvals, nu_n_target: float, L: float = 2.0, C: float = 1.0):
         return None
     budget = nu_n_target * n / math.log(n) if n >= 2 else float(n)
     candidates = {lo, 1.0}
-    distinct = np.unique(s)  # ascending, deduplicated
+    ascending = s[::-1]  # deduplicated without np.unique, which imports numpy.ma
+    distinct = ascending[np.concatenate(([True], ascending[1:] != ascending[:-1]))]
     mids = (distinct[:-1] + distinct[1:]) / 2.0
     candidates.update(float(x) for x in mids if lo <= x <= 1.0)
     alphas = np.array(sorted(candidates, reverse=True))

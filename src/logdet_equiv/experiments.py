@@ -69,7 +69,8 @@ from .grushin import (
 )
 from .linalg import NumericalError, log_abs_det, operator_norm, singular_values
 from .linalg import smallest_singular_value
-from .noise import NormGrowthFit, ProbeResult, _check_kind, _rescaled_frequencies, _serial_draws, substream_seed
+from .noise import NormGrowthFit, ProbeResult, _check_kind, _median, _quantile, _rescaled_frequencies, _serial_draws
+from .noise import substream_seed
 
 __all__ = [
     "ConfigError",
@@ -259,9 +260,9 @@ def _quantile_block(values) -> dict:
     v = np.asarray(values, dtype=float)
     finite = v[np.isfinite(v)]
     return {
-        "median": float(np.median(v)),
-        "q05": float(np.quantile(finite, 0.05)) if finite.size else None,
-        "q95": float(np.quantile(finite, 0.95)) if finite.size else None,
+        "median": _median(v),
+        "q05": _quantile(finite, 0.05) if finite.size else None,
+        "q95": _quantile(finite, 0.95) if finite.size else None,
         "max": float(v.max()),
         "nonfinite": int(np.count_nonzero(~np.isfinite(v))),
     }
@@ -433,7 +434,7 @@ def run_theorem1(config: ExperimentConfig, diagnostics: bool = False):
             per_n.append({
                 "N": n, "N_star": cutoff_index, "delta": delta, "rhs": rhs, **{f"rhs_{c}": v for c, v in sums.items()},
                 "flagged_infinite_rhs": flagged, "below_svd_floor": below_floor,
-                "error_median": None if flagged else float(np.median(step_errors)),
+                "error_median": None if flagged else _median(np.asarray(step_errors)),
                 "error": _quantile_block(step_errors),
             })
     medians = [p["error_median"] for p in per_n if not p["flagged_infinite_rhs"]]

@@ -319,8 +319,8 @@ def invert_perturbed(
     alpha = float(alpha)
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    if n_terms < 0:
-        raise ValueError(f"n_terms must be >= 0, got {n_terms}")
+    if not isinstance(n_terms, (int, np.integer)) or n_terms < 0:  # a float would fail in the loop's range
+        raise ValueError(f"n_terms must be an integer >= 0, got {n_terms}")
     norm_g = operator_norm(g) if norm_g is None else float(norm_g)
     contraction = 0.0 if delta == 0.0 else delta * norm_g / alpha
 

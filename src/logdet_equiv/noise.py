@@ -12,11 +12,14 @@ all its sizes.  Where it can, a forked helper process draws it one trial ahead
 into a two-slot shared ring sized for the loop's largest ``N``, and also takes
 what a trial needs of ``G`` alone where the caller names it: ``||G||`` for ``mc
 --diagnostics``, and the suite's ``||G||`` and log-determinant and singular
-values of ``A + delta G``.  A size or seed it cannot draw fails before the
-BLAS pin of :mod:`.linalg`, which the loop holds from before the fork until the
-helper is reaped: every LU and SVD of a trial, probe or suite check runs at one
-thread, as does the helper.  Only where ``os.fork`` is missing, nothing is pinned
-or nothing is drawn do the draws run in process, each unit's into its first's array.
+values of ``A + delta G``.  Where it measures, a trial of SVDs outlasts a page
+fault many times over, so each slot's pages leave the main process once its
+trial is done, and that process holds one slot.  A size or seed it cannot draw
+fails before the BLAS pin of :mod:`.linalg`, which the loop holds from before
+the fork until the helper is reaped: every LU and SVD of a trial, probe or suite
+check runs at one thread, as does the helper.  Only where ``os.fork`` is
+missing, nothing is pinned or nothing is drawn do the draws run in process, each
+unit's into its first's array.
 
 Reproducibility contract: every trial draws from its own substream derived
 by hashing the root seed with a counter key, so results do not depend on
@@ -183,9 +186,12 @@ def _serial_draws(model: str, seed: int, trials: int, units, measure=None):
     :func:`_measured`): then the trial takes them itself.
 
     A size :func:`sample` rejects or a negative ``seed`` raises ValueError before the pin and the fork.
-    The helper (:func:`_helper`) draws into a two-slot shared ``mmap`` ring sized for the largest ``N``;
-    a trial's ``G`` is the ``N x N`` head of its slot.  One pipe carries each ``seed_used`` and its values;
-    the other starts with a token per slot, which the helper takes before each draw and each trial returns.
+    The helper (:func:`_helper`) draws into a two-slot shared ``mmap`` ring sized for the largest ``N``,
+    each slot a whole number of pages; a trial's ``G`` is the ``N x N`` head of its slot.  One pipe carries
+    each ``seed_used`` and its values; the other starts with a token per slot, which the helper takes before
+    each draw and each trial returns.  With ``measure``, a trial first drops its slot from this process with
+    ``MADV_DONTNEED``: a shared mapping keeps the pages' contents, so only this process's RSS changes, by one
+    slot.  Without it, a trial is about one LU, which would pay a fault on every page of its slot.
     Leaving the block closes both pipes and reaps the helper; a dead helper fails the next draw (NumericalError)."""
 
     def draw(block: int, n: int, k: int, out: np.ndarray | None):
@@ -211,10 +217,12 @@ def _serial_draws(model: str, seed: int, trials: int, units, measure=None):
             return
         import mmap
 
+        slot = -(-16 * top * top // mmap.PAGESIZE) * mmap.PAGESIZE  # bytes; each slot starts on a page
         try:
-            ring = np.frombuffer(mmap.mmap(-1, 2 * 16 * top * top), dtype=np.complex128).reshape(2, top * top)
+            region = mmap.mmap(-1, 2 * slot)
         except OSError as exc:  # too large an N for this machine: named as numpy names an array it cannot allocate
             raise MemoryError(f"Unable to map two {top} x {top} complex128 ring slots ({exc.strerror})") from exc
+        ring = np.frombuffer(region, dtype=np.complex128).reshape(2, slot // 16)
         size = 8 * (1 + (measure[0] if measure else 0))
         drawn_r, drawn_w = os.pipe()
         free_r, free_w = os.pipe()
@@ -237,6 +245,8 @@ def _serial_draws(model: str, seed: int, trials: int, units, measure=None):
                 if values is not None and np.isnan(values).any():
                     values = None
                 yield int.from_bytes(message[:8], "little"), ring[i % 2][: n * n].reshape(n, n), values
+                if measure:  # the trial is done with its slot: its pages leave this process, their contents stay
+                    region.madvise(mmap.MADV_DONTNEED, (i % 2) * slot, slot)
                 with suppress(BrokenPipeError):  # a dead helper is reported by the next read
                     os.write(free_w, b"\0")
 
@@ -308,10 +318,29 @@ def _probe_values(model: str, units, trials: int, seed: int, measure) -> np.ndar
         return np.array([measure(g) for _, g, _ in draws], dtype=float)
 
 
+# np.median and np.quantile import numpy.ma (through np.unique) on their first call, which no run needs otherwise;
+# these two partition the same indices and take the same arithmetic, so they return numpy's bits.
+def _median(v: np.ndarray) -> float:
+    """``np.median(v)`` of a nonempty 1-d ``v``: the mean of its middle one or two values, NaN if any value is."""
+    half = v.size // 2
+    middle = [half] if v.size % 2 else [half - 1, half]
+    part = np.partition(v, [*middle, -1])
+    return float(part[-1] if np.isnan(part[-1]) else np.mean(part[middle[0]:half + 1]))
+
+
+def _quantile(v: np.ndarray, q: float) -> float:
+    """``np.quantile(v, q)`` of a nonempty 1-d ``v`` of no NaN, by numpy's default linear method."""
+    virtual = (v.size - 1) * q
+    lo = -1 if virtual >= v.size - 1 else math.floor(virtual)  # -1: the largest value, as numpy takes it
+    hi = lo if lo == -1 else lo + 1
+    part = np.partition(v, sorted({0, -1, lo, hi}))
+    a, b, t = part[lo], part[hi], virtual - lo
+    return float(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+
+
 def _result(model: str, n: int, stat_name: str, values: np.ndarray, **extra) -> ProbeResult:
     """``values`` (one per trial) with a summary of their mean and quantiles, then ``extra``."""
-    qs = np.quantile(values, [0.05, 0.25, 0.5, 0.75, 0.95])
-    quantiles = {key: float(q) for key, q in zip(("q05", "q25", "q50", "q75", "q95"), qs)}
+    quantiles = {f"q{round(100 * q):02d}": _quantile(values, q) for q in (0.05, 0.25, 0.5, 0.75, 0.95)}
     summary = {"mean": float(values.mean()), "quantiles": quantiles, **extra}
     return ProbeResult(model, int(n), values.size, stat_name, tuple(values.tolist()), summary)
 

@@ -360,6 +360,9 @@ def test_invert_argument_validation():
         invert_perturbed(sys, g, 1e-3, "cramer")
     with pytest.raises(ValueError, match="n_terms"):
         invert_perturbed(sys, g, 1e-3, "neumann", n_terms=-1)
+    for n_terms in (2.5, math.nan):  # not an integer: named, not met in the Horner loop's range
+        with pytest.raises(ValueError, match="n_terms"):
+            invert_perturbed(sys, g, 1e-3, "neumann", n_terms=n_terms)
     # Order 0 is legal: the unperturbed blocks.
     assert invert_perturbed(sys, g, 1e-3, "neumann", n_terms=0).blocks is sys.blocks
 

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logdet_equiv import noise
 from logdet_equiv import (
@@ -299,3 +301,22 @@ def test_the_rescaled_frequencies_take_only_their_own_thresholds():
     # The probe's plain variant reads N^-beta, so it still names that overflow before any draw.
     with pytest.raises(ValueError, match=r"beta = -400.0: N\^\(-beta\) overflows a float at N = 8"):
         anti_concentration_probe(np.eye(8), "complex_ginibre", 3, [-400.0], 1, delta=1e-3, gamma=401.0)
+
+
+# ---------------------------------------------------------------------------
+# summaries
+
+# Ties, signed zeros and infinities, as well as arbitrary floats.
+SUMMARY_VALUES = st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5, math.inf, -math.inf]), st.floats()),
+                          min_size=1, max_size=40)
+
+
+@given(values=SUMMARY_VALUES, q=st.one_of(st.sampled_from([0.05, 0.25, 0.5, 0.75, 0.95]), st.floats(0.0, 1.0)))
+@settings(max_examples=300, deadline=None)
+def test_median_and_quantile_are_numpys_bits(values, q):
+    v = np.array(values)
+    finite = v[np.isfinite(v)]
+    with np.errstate(all="ignore"):  # inf - inf, and a difference of two huge values, as numpy meets them
+        assert np.float64(noise._median(v)).tobytes() == np.float64(np.median(v)).tobytes()
+        if finite.size:
+            assert np.float64(noise._quantile(finite, q)).tobytes() == np.float64(np.quantile(finite, q)).tobytes()

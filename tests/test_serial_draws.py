@@ -31,6 +31,7 @@ from logdet_equiv import (
     run_theorem1,
     run_theorem2,
     sample,
+    substream_seed,
     write_matrix_csv,
 )
 
@@ -287,6 +288,28 @@ print("numpy.random" in sys.modules)
     assert run.stdout == "False\n"
 
 
+def test_no_run_imports_numpy_ma():
+    # np.median, np.quantile and np.unique import numpy.ma (about 13 ms) on their first call; the summaries of mc and
+    # sweep, the auto cutoff of field and the probes' quantiles take the same values without them.
+    code = """
+import sys
+from logdet_equiv import ExperimentConfig, MatrixSpec, ParamConfig, ZGrid, log_potential_field, noise
+from logdet_equiv import run_theorem1, run_theorem2
+run_theorem2(ExperimentConfig(matrix=MatrixSpec(kind="jordan", n=12), model="complex_ginibre", trials=3))
+run_theorem1(ExperimentConfig(matrix=MatrixSpec(kind="jordan", n=8), model="complex_ginibre", trials=3, mode="sweep",
+                              n_list=(8, 12)))
+log_potential_field(ExperimentConfig(
+    matrix=MatrixSpec(kind="jordan", n=10), model="complex_ginibre", params=ParamConfig(alpha="auto", delta=1e-6),
+    trials=2, mode="field", z_grid=ZGrid(re_min=-1.0, re_max=1.0, im_min=-1.0, im_max=1.0, steps=2)))
+noise.norm_growth_probe("complex_ginibre", [4, 8], 2, 0)
+print("numpy.ma" in sys.modules)
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "False\n"
+
+
 @needs_pin
 def test_the_rescaled_anti_concentration_probe_draws_each_g_once(monkeypatch):
     d, args = np.zeros((20, 20)), ("complex_ginibre", 10, [1.0], 0)
@@ -357,6 +380,42 @@ def test_a_serial_run_draws_in_one_helper_per_run_or_probe(monkeypatch, tmp_path
     monkeypatch.delattr(os, "fork")
     assert [run() for run in runs] == helped
     assert len(pids) == 11 and drawn_here
+
+
+@needs_pin
+def test_where_the_helper_measures_each_slot_leaves_the_main_process_once_its_trial_is_done(monkeypatch):
+    import mmap
+
+    here, events, write = os.getpid(), [], os.write
+
+    class Recorded(mmap.mmap):
+        def madvise(self, *args):
+            events.append(("release", *args))
+            return super().madvise(*args)
+
+    def recorded_write(fd, data):
+        if data == b"\0" and os.getpid() == here:  # a slot's token returned to the helper
+            events.append("token")
+        return write(fd, data)
+
+    monkeypatch.setattr(mmap, "mmap", Recorded)
+    monkeypatch.setattr(os, "write", recorded_write)
+    slot = mmap.PAGESIZE  # one page holds an 8 x 8 complex128 G
+    for measure in ((1, lambda g: [linalg.operator_norm(g)]), None):
+        events.clear()
+        with noise._serial_draws("complex_ginibre", 31, 3, [(0, 8)], measure) as draws:
+            for k, (sub, g, _) in enumerate(draws):
+                assert sub == substream_seed(31, 0, k)
+                assert g.tobytes() == sample("complex_ginibre", 8, sub).tobytes()
+                events.append(("trial", k))
+        if measure is None:  # a trial of a plain loop pays no fault on its slot
+            assert events == [("trial", 0), "token", ("trial", 1), "token", ("trial", 2), "token"]
+        else:  # the pages go, their contents stay for the helper and the next read
+            release = mmap.MADV_DONTNEED
+            assert events == [("trial", 0), ("release", release, 0, slot), "token",
+                              ("trial", 1), ("release", release, slot, slot), "token",
+                              ("trial", 2), ("release", release, 0, slot), "token"]
+    assert_no_child_left()
 
 
 @needs_pin
