@@ -67,7 +67,7 @@ from .grushin import (
     schur_logdet,
     assemble,
 )
-from .linalg import NumericalError, log_abs_det, operator_norm, singular_values
+from .linalg import NumericalError, _release_free_heap, log_abs_det, operator_norm, singular_values
 from .linalg import smallest_singular_value
 from .noise import NormGrowthFit, ProbeResult, _check_kind, _median, _quantile, _rescaled_frequencies, _serial_draws
 from .noise import substream_seed
@@ -480,6 +480,12 @@ def run_grushin_suite(config: ExperimentConfig):
     ``m >= 1``, the singular values of ``A + delta G``.  It starts before
     the static checks, so its first trials overlap them.
 
+    After the static checks, the main process hands its free heap back once
+    (:func:`.linalg._release_free_heap`): the paired SVD's and the checks'
+    freed workspace, which the first trial's inversion does not fit into.
+    A trial lets go of ``P^d`` once its LU and its direct inverse are taken,
+    before the Neumann series forms its arrays.
+
     Returns ``(checks, summary)``: each check is a JSON-ready dict
     ``{check, n, lhs, rhs, bound, pass, trial}``.
     """
@@ -515,6 +521,8 @@ def run_grushin_suite(config: ExperimentConfig):
         add(_leq("two_sided_inverse_left", None, left, 0.0, tol))
         for record in norm_estimates(sys, blocks, alpha):
             add(record)
+        # Once: the SVD's and the static checks' freed workspace is what the first inversion does not fit into.
+        _release_free_heap()
 
         # One call per trial, so that a trial's arrays are freed before the next trial forms its own.
         def one() -> list:
@@ -526,11 +534,14 @@ def run_grushin_suite(config: ExperimentConfig):
             if pert.within_contraction:
                 out.append(_leq("drift_bound", None, *perturbation_drift_bound(sys, pert), 1e-10))
                 out.extend(perturbed_norm_estimates(pert))
-                approx = _neumann_blocks(sys, pert.g, pert.delta, NEUMANN_TERMS)
+                # P^d's LU and inverse are taken: it goes before the series forms its own arrays.
+                direct, contraction = pert.blocks, pert.contraction
+                del pert
+                approx = _neumann_blocks(sys, g, delta, NEUMANN_TERMS)
                 # initial=0.0 covers the empty border blocks of an m = 0 deflation.
-                pairs = [(getattr(approx, f.name), getattr(pert.blocks, f.name)) for f in fields(approx)]
+                pairs = [(getattr(approx, f.name), getattr(direct, f.name)) for f in fields(approx)]
                 diff = max(float(np.abs(x - y).max(initial=0.0)) for x, y in pairs)
-                tail = max(neumann_tail_bound(pert.contraction, alpha, NEUMANN_TERMS), 1e-9)
+                tail = max(neumann_tail_bound(contraction, alpha, NEUMANN_TERMS), 1e-9)
                 out.append(_leq("neumann_agreement", None, diff, tail, 0.0))
             return out
 

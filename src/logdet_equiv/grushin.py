@@ -381,7 +381,9 @@ def _neumann_blocks(sys: GrushinSystem, g: np.ndarray, delta: float, n_terms: in
 
     Each step adds ``I`` into its fresh product in place and compares it with ``S_{k-1}``, kept past its step
     only for ``mid`` at the last one, so a converging loop holds three ``n x n`` arrays: ``X``, ``S_{k-1}``, ``S_k``.
-    On an early stop ``S_{K-1} = S_K``; at ``n_terms = 1`` ``S_0 = I``.  ``g`` and ``sys.blocks`` are only read."""
+    On an early stop ``S_{K-1} = S_K``; at ``n_terms = 1`` ``S_0 = I``.  ``X`` is dead after the loop and ``mid``
+    reads only ``S_{K-1}``, ``G`` and ``E_plus``, so ``E^d = E S_K`` is written into ``X``.  ``g`` and
+    ``sys.blocks`` are only read."""
     base = sys.blocks
     if delta == 0.0 or n_terms <= 0:
         # Empty series: the perturbed blocks are exactly the unperturbed ones.
@@ -398,7 +400,7 @@ def _neumann_blocks(sys: GrushinSystem, g: np.ndarray, delta: float, n_terms: in
             break
         s_prev, s = (s if k == n_terms else step), step
     mid = -delta * ((np.eye(sys.n, dtype=np.complex128) if n_terms == 1 else s_prev) @ (g @ base.e_plus))
-    return InverseBlocks(e @ s, base.e_plus + e @ mid, e_minus @ s, base.e_minus_plus + e_minus @ mid)
+    return InverseBlocks(np.matmul(e, s, out=x), base.e_plus + e @ mid, e_minus @ s, base.e_minus_plus + e_minus @ mid)
 
 
 def neumann_tail_bound(contraction: float, alpha: float, n_terms: int) -> float:

@@ -211,6 +211,27 @@ def _openblas_threads():
     return None
 
 
+@functools.cache
+def _malloc_trim():
+    """libc's ``malloc_trim``, which hands the free pages of the process's heap back to the system, or None
+    where no loaded library exports it (it is glibc's)."""
+    import ctypes
+
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return None
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return trim
+
+
+def _release_free_heap() -> None:
+    """Hand the process's free heap back once, through :func:`_malloc_trim`; a no-op where it finds none."""
+    trim = _malloc_trim()
+    if trim is not None:
+        trim(0)
+
+
 @contextmanager
 def _one_blas_thread():
     """The loaded OpenBLAS at one thread inside the block, its old count restored after; a no-op where

@@ -6,6 +6,7 @@ import os
 import pathlib
 import re
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -414,10 +415,12 @@ def test_grushin_suite_takes_the_injection_norms_once(monkeypatch):
 
 def test_grushin_suite_footprint(monkeypatch):
     # Peak traced bytes of a run, in N x N complex arrays of 16 N^2 bytes.  The run keeps A and E, and no SVD
-    # factor; a trial adds P^d, which holds A + delta G, the direct inverse of P^d, and the Horner loop's three
-    # (X, S_{k-1} and S_k) while it converges: 8.7 at N = 80.  The helper draws G into its shared ring, which
-    # tracemalloc does not see; drawn in this process, G is one more traced array: 9.7.  The static checks'
-    # arrays are gone before the first trial.  A two-array regression exceeds the bound on either path.
+    # factor; a trial adds P^d, which holds A + delta G, and its direct inverse (1.2 each at m = 8), and lets go
+    # of P^d once its LU is taken.  The series then holds the Horner loop's three (X, S_{k-1} and S_k) while it
+    # converges and leaves E^d in X; the peak is the agreement check's difference of E^d and the direct block
+    # with its modulus: 7.3 at N = 80.  The helper draws G into its shared ring, which tracemalloc does not see;
+    # drawn in this process, G is one more traced array: 8.3.  The static checks' arrays are gone before the
+    # first trial.  P^d kept through the series (9.6 in this process) exceeds the bound.
     n = 80
     config = grushin_diag_config(matrix=MatrixSpec(kind="diagonal", n=n, diag=((2.0, 72), (0.0, 8))))
     for draws_here in (False, True):
@@ -434,7 +437,62 @@ def test_grushin_suite_footprint(monkeypatch):
         finally:
             if not tracing:
                 tracemalloc.stop()
-        assert peak - start <= 10 * 16 * n * n
+        assert peak - start <= 9 * 16 * n * n
+
+
+def test_grushin_suite_lets_go_of_p_d_before_the_neumann_series(monkeypatch):
+    # P^d's LU and direct inverse are taken by then: no trial's P^d is alive while the series forms its arrays.
+    bordered, series = [], []
+
+    def invert(*args, **kwargs):
+        pert = grushin.invert_perturbed(*args, **kwargs)
+        bordered.append(weakref.ref(pert.bordered))
+        return pert
+
+    def neumann(*args):
+        assert bordered[-1]() is None
+        series.append(len(bordered))
+        return grushin._neumann_blocks(*args)
+
+    config = grushin_diag_config()
+    expected = run_grushin_suite(config)
+    monkeypatch.setattr(experiments, "invert_perturbed", invert)
+    monkeypatch.setattr(experiments, "_neumann_blocks", neumann)
+    for draws_here in (False, True):
+        if draws_here:
+            monkeypatch.delattr(os, "fork")
+        bordered.clear()
+        series.clear()
+        assert run_grushin_suite(config) == expected
+        assert series == list(range(1, config.trials + 1))
+
+
+def test_grushin_suite_hands_the_free_heap_back_once_before_the_first_trial(monkeypatch):
+    events = []
+
+    def recorded(name, function):
+        def wrapper(*args, **kwargs):
+            events.append(name)
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    config = grushin_diag_config()
+    expected = run_grushin_suite(config)
+    monkeypatch.setattr(linalg, "_malloc_trim", lambda: lambda pad: events.append(("trim", pad)))
+    monkeypatch.setattr(experiments, "norm_estimates", recorded("static", experiments.norm_estimates))
+    monkeypatch.setattr(experiments, "invert_perturbed", recorded("invert", experiments.invert_perturbed))
+    assert run_grushin_suite(config) == expected
+    assert events == ["static", ("trim", 0)] + ["invert"] * config.trials
+    events.clear()
+    run_theorem2(single_config())
+    run_theorem2(single_config(), diagnostics=True)
+    log_potential_field(field_config())
+    run_theorem1(sweep_config())
+    assert events == []
+    # Where no loaded library exports malloc_trim, nothing is handed back and the checks are the same.
+    monkeypatch.setattr(linalg, "_malloc_trim", lambda: None)
+    assert run_grushin_suite(config) == expected
 
 
 def test_grushin_suite_mode_gate():

@@ -1,6 +1,7 @@
 """Tests for the dense linear-algebra layer."""
 
 import math
+import platform
 
 import numpy as np
 import pytest
@@ -270,3 +271,11 @@ def test_the_blas_pin_sets_no_count_at_one_thread(monkeypatch):
     monkeypatch.setattr(linalg, "_openblas_threads", lambda: None)
     with linalg._one_blas_thread() as pinned:
         assert pinned is False
+
+
+def test_the_free_heap_hand_back_finds_glibcs_malloc_trim_once():
+    trim = linalg._malloc_trim()
+    assert linalg._malloc_trim() is trim
+    assert trim is not None or platform.libc_ver()[0] != "glibc"
+    assert trim is None or trim(0) in (0, 1)
+    linalg._release_free_heap()
